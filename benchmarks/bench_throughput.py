@@ -3,7 +3,9 @@
 The paper motivates few-variable classification with real-time constraints
 (§1: a distinguisher has only the processor's per-instruction throughput).
 These benchmarks measure our pipeline's classification latency per window
-and the substrate's capture throughput.
+and the substrate's capture throughput.  The ``*_reference`` /
+``*_serial`` benches time the slow formulations kept as test oracles
+(``tests/oracles``), the "before" side of each fast path's speedup.
 """
 
 import numpy as np
@@ -17,6 +19,11 @@ from repro.ml import OneVsOneClassifier, QDA
 from repro.power import Acquisition, PowerModel
 from repro.sim import AvrCpu
 from repro.util.knobs import get_int
+from tests.oracles.hierarchy import predict_instructions_reference
+from tests.oracles.ovo import ovo_fit_reference
+from tests.oracles.render import render_events_serial
+from tests.oracles.selection import dnvp_fit_reference
+from tests.oracles.staged import predict_staged
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +52,18 @@ def test_compiled_classify_throughput(benchmark, fitted_level):
     """Folded-GEMM classify: trace→scores as two matrix products."""
     model, test = fitted_level
     windows = test.traces
-    compiled = model.compile()
+    compiled = model.compiled
 
     result = benchmark(lambda: compiled.predict(windows))
     assert len(result) == len(windows)
 
 
-def test_compiled_classify_reference_throughput(
-    benchmark, fitted_level, monkeypatch
-):
-    """Staged per-stage classify baseline (REPRO_COMPILED_INFER=0)."""
-    monkeypatch.setenv("REPRO_COMPILED_INFER", "0")
+def test_compiled_classify_reference_throughput(benchmark, fitted_level):
+    """Staged per-stage classify baseline: transform_points + classifier."""
     model, test = fitted_level
     windows = test.traces
 
-    result = benchmark(lambda: model.predict(windows))
+    result = benchmark(lambda: predict_staged(model, windows))
     assert len(result) == len(windows)
 
 
@@ -67,7 +71,6 @@ def test_single_trace_latency(benchmark, fitted_level):
     """One-window classify latency (the streaming-disassembly budget)."""
     model, test = fitted_level
     window = test.traces[:1]
-    model.compile()
 
     result = benchmark(lambda: model.predict(window))
     assert len(result) == 1
@@ -157,7 +160,7 @@ def test_dnvp_selector_fit_throughput(benchmark, selector_stats):
     """Batched DNVP selection: all pair fields from stacked statistics."""
     selector = benchmark(
         lambda: DnvpSelector(kl_threshold="auto:0.6", top_k=5).fit(
-            selector_stats, batched=True
+            selector_stats
         )
     )
     assert len(selector.points) > 0
@@ -166,8 +169,8 @@ def test_dnvp_selector_fit_throughput(benchmark, selector_stats):
 def test_dnvp_selector_fit_reference_throughput(benchmark, selector_stats):
     """Serial per-pair selection baseline (identical output)."""
     selector = benchmark(
-        lambda: DnvpSelector(kl_threshold="auto:0.6", top_k=5).fit_reference(
-            selector_stats
+        lambda: dnvp_fit_reference(
+            DnvpSelector(kl_threshold="auto:0.6", top_k=5), selector_stats
         )
     )
     assert len(selector.points) > 0
@@ -185,9 +188,8 @@ def _train_level(train_set):
     )
 
 
-def test_level_train_throughput(benchmark, train_set, monkeypatch):
+def test_level_train_throughput(benchmark, train_set):
     """End-to-end level training on the batched fast path."""
-    monkeypatch.setenv("REPRO_BATCHED_TRAIN", "1")
     model = benchmark.pedantic(
         lambda: _train_level(train_set),
         rounds=3, iterations=1, warmup_rounds=1,
@@ -196,8 +198,9 @@ def test_level_train_throughput(benchmark, train_set, monkeypatch):
 
 
 def test_level_train_reference_throughput(benchmark, train_set, monkeypatch):
-    """Same training through the serial reference paths (identical model)."""
-    monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
+    """Same training through the serial selection and OvO-fit oracles."""
+    monkeypatch.setattr(DnvpSelector, "fit", dnvp_fit_reference)
+    monkeypatch.setattr(OneVsOneClassifier, "fit", ovo_fit_reference)
     model = benchmark.pedantic(
         lambda: _train_level(train_set),
         rounds=2, iterations=1, warmup_rounds=1,
@@ -216,9 +219,8 @@ def ovo_problem():
     return X.reshape(-1, dim), y
 
 
-def test_ovo_fit_throughput(benchmark, ovo_problem, monkeypatch):
+def test_ovo_fit_throughput(benchmark, ovo_problem):
     """Shared-sufficient-statistic one-vs-one fitting (66 QDA pairs)."""
-    monkeypatch.setenv("REPRO_BATCHED_TRAIN", "1")
     X, y = ovo_problem
     clf = benchmark(lambda: OneVsOneClassifier(QDA()).fit(X, y))
     assert clf.predict(X[:4]).shape == (4,)
@@ -227,7 +229,7 @@ def test_ovo_fit_throughput(benchmark, ovo_problem, monkeypatch):
 def test_ovo_fit_reference_throughput(benchmark, ovo_problem):
     """Per-pair refitting baseline (identical classifiers)."""
     X, y = ovo_problem
-    clf = benchmark(lambda: OneVsOneClassifier(QDA()).fit_reference(X, y))
+    clf = benchmark(lambda: ovo_fit_reference(OneVsOneClassifier(QDA()), X, y))
     assert clf.predict(X[:4]).shape == (4,)
 
 
@@ -274,7 +276,7 @@ def test_hierarchy_predict_throughput(benchmark, small_disassembler):
     """Batched hierarchical inference: one pipeline pass per group."""
     dis, windows = small_disassembler
     keys = benchmark(
-        lambda: dis.predict_instructions(windows, adapt=False, batched=True)
+        lambda: dis.predict_instructions(windows, adapt=False)
     )
     assert len(keys) == len(windows)
 
@@ -283,7 +285,7 @@ def test_hierarchy_predict_reference_throughput(benchmark, small_disassembler):
     """Row-at-a-time streaming baseline (identical keys)."""
     dis, windows = small_disassembler
     keys = benchmark(
-        lambda: dis.predict_instructions_reference(windows, adapt=False)
+        lambda: predict_instructions_reference(dis, windows, adapt=False)
     )
     assert len(keys) == len(windows)
 
@@ -314,5 +316,5 @@ def test_render_serial_throughput(benchmark):
     cpu = AvrCpu("\n".join(["add r1, r2"] * 300))
     events = cpu.run()
     model = PowerModel()
-    trace = benchmark(lambda: model.render_events_serial(events))
+    trace = benchmark(lambda: render_events_serial(model, events))
     assert len(trace) > 300 * 157

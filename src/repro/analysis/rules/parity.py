@@ -1,16 +1,18 @@
-"""REP002 — every fast path with a ``*_reference`` twin is parity-tested.
+"""REP002 — every test oracle is exercised by a test module.
 
-The performance architecture (DESIGN.md §9) keeps a slow, obviously
-correct ``*_reference`` implementation next to every vectorized fast
-path, and the contract is that a test exercises *both* — otherwise the
-pair silently drifts apart and the reference stops being a reference.
+Each production path has exactly one implementation in ``src``; the
+slow, obviously correct formulations it replaced live in the test-only
+``tests/oracles`` package (DESIGN.md §9).  An oracle nobody calls has
+silently stopped checking anything, so every public function defined in
+``tests/oracles/`` must be referenced by at least one
+``tests/**/test_*.py`` module.
 
-Mechanics: each library file contributes its ``(qualname, base, ref)``
-sibling pairs (a ``def X_reference`` next to a ``def X`` in the same
-module or class body); each test file contributes the set of identifiers
-it mentions.  A pair passes when at least one test file mentions both
-names.  Private references (``_x_reference``) are exempt — the public
-wrapper's parity test covers them.
+Mechanics: each oracle file contributes its top-level public function
+definitions; each test module contributes the set of identifiers it
+mentions.  An oracle passes when some test module mentions its name.
+Private helpers (``_x``) are exempt — the public oracle that uses them
+covers them — and mentions in non-test files (other oracles, benchmarks,
+conftest) do not count.
 """
 
 from __future__ import annotations
@@ -22,24 +24,20 @@ from ..core import FileContext, Finding, Rule, register_rule
 
 __all__ = ["ParityRule"]
 
-_SUFFIX = "_reference"
+
+def _is_oracle(ctx: FileContext) -> bool:
+    """True for modules of a ``tests/oracles`` package."""
+    parts = ctx.path.split("/")
+    return any(
+        parts[i] == "tests" and parts[i + 1] == "oracles"
+        for i in range(len(parts) - 2)
+    )
 
 
-def _sibling_pairs(body: Sequence[ast.stmt]) -> List[Tuple[ast.AST, str, str]]:
-    """``(node, base, ref)`` for reference/fast-path pairs in one scope."""
-    defs = {
-        stmt.name: stmt
-        for stmt in body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    pairs = []
-    for name, node in defs.items():
-        if not name.endswith(_SUFFIX) or name.startswith("_"):
-            continue
-        base = name[: -len(_SUFFIX)]
-        if base in defs:
-            pairs.append((node, base, name))
-    return pairs
+def _is_test_module(ctx: FileContext) -> bool:
+    """True for ``test_*.py`` modules under a ``tests`` directory."""
+    parts = ctx.path.split("/")
+    return "tests" in parts[:-1] and parts[-1].startswith("test_")
 
 
 @register_rule
@@ -47,67 +45,57 @@ class ParityRule(Rule):
     code = "REP002"
     name = "parity"
     description = (
-        "every public fast path with a *_reference sibling needs a test "
-        "module exercising both names"
+        "every public function in tests/oracles/ is referenced by some "
+        "tests/**/test_*.py module"
     )
 
     def collect(self, ctx: FileContext) -> Optional[object]:
-        if ctx.is_test:
-            names: Set[str] = set()
-            for node in ast.walk(ctx.tree):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(
-                    node.value, str
-                ):
-                    # getattr(obj, "fit_reference") style references count.
-                    names.add(node.value)
-            return ("test", sorted(names))
-        if not ctx.in_library:
+        if _is_oracle(ctx):
+            oracles: List[Tuple[int, int, str]] = [
+                (node.lineno, node.col_offset + 1, node.name)
+                for node in ctx.tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+            ]
+            return ("oracle", oracles) if oracles else None
+        if not _is_test_module(ctx):
             return None
-        pairs: List[Tuple[int, int, str, str]] = []
-        scopes: List[Sequence[ast.stmt]] = [ctx.tree.body]
+        names: Set[str] = set()
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                scopes.append(node.body)
-        for body in scopes:
-            for def_node, base, ref in _sibling_pairs(body):
-                pairs.append(
-                    (def_node.lineno, def_node.col_offset + 1, base, ref)
-                )
-        if not pairs:
-            return None
-        return ("lib", pairs)
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(
+                node.value, str
+            ):
+                # getattr(oracles, "fit_reference") style references count.
+                names.add(node.value)
+        return ("test", sorted(names))
 
     def finalize(
         self, facts: Sequence[Tuple[str, object]]
     ) -> List[Finding]:
-        test_names: List[Set[str]] = []
-        lib_pairs: List[Tuple[str, Tuple[int, int, str, str]]] = []
+        referenced: Set[str] = set()
+        oracles: List[Tuple[str, Tuple[int, int, str]]] = []
         for path, fact in facts:
             kind, payload = fact  # type: ignore[misc]
             if kind == "test":
-                test_names.append(set(payload))
+                referenced.update(payload)
             else:
-                for pair in payload:
-                    lib_pairs.append((path, pair))
-        findings: List[Finding] = []
-        for path, (line, col, base, ref) in lib_pairs:
-            if any(base in names and ref in names for names in test_names):
-                continue
-            findings.append(
-                Finding(
-                    path=path,
-                    line=line,
-                    col=col,
-                    code=self.code,
-                    message=(
-                        f"no test module references both {base!r} and "
-                        f"{ref!r}; add a parity test or the reference "
-                        "will drift"
-                    ),
-                )
+                oracles.extend((path, oracle) for oracle in payload)
+        return [
+            Finding(
+                path=path,
+                line=line,
+                col=col,
+                code=self.code,
+                message=(
+                    f"test oracle {name!r} is not referenced by any "
+                    "tests/**/test_*.py module; add a parity test or "
+                    "delete the oracle"
+                ),
             )
-        return findings
+            for path, (line, col, name) in oracles
+            if name not in referenced
+        ]

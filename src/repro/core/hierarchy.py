@@ -17,27 +17,25 @@ machines, hierarchical at most C(8,2) + C(20,2) = 218.
 Inference is *batched*: windows routed to the same group run through
 that group's pipeline + classifier as one batch, and label/operand
 decoding is vectorized.  The row-at-a-time walk a naive disassembler
-loop would do is kept as
-:meth:`SideChannelDisassembler.predict_instructions_reference` for
-parity testing and benchmarking (``REPRO_BATCHED_TRAIN=0`` selects it).
+loop would do lives in the test oracles (``tests/oracles``) for parity
+testing and benchmarking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..features.compiled import CompiledPipeline, CompileError
+from ..features.compiled import CompiledPipeline
 from ..features.pipeline import FeatureConfig, FeaturePipeline
 from ..isa import REGISTRY, OperandKind
 from ..ml.base import Classifier
 from ..ml.discriminant import QDA
 from ..obs import trace as _obs
 from ..power.dataset import TraceSet
-from ..util.knobs import get_flag
 from .types import ABSTAIN_KEY, DisassembledInstruction
 
 __all__ = ["LevelModel", "SideChannelDisassembler"]
@@ -88,59 +86,24 @@ class LevelModel:
     """One fitted classification level: feature pipeline + classifier.
 
     Inference routes through a :class:`CompiledPipeline` — the whole
-    trace→scores path folded into precomputed GEMMs — built lazily on
-    the first predict call (or eagerly via :meth:`compile`).  Classifier
-    templates without a discriminant fold (SVM, one-vs-one ensembles)
-    fall back to the staged pipeline transparently, as does
-    ``REPRO_COMPILED_INFER=0``.
+    trace→scores path folded into precomputed GEMMs — built once, when
+    the model is constructed.  Classifiers without a discriminant fold
+    (SVM, one-vs-one ensembles) leave ``compiled`` as ``None`` and
+    predict through the staged pipeline.
     """
 
     pipeline: FeaturePipeline
     classifier: Classifier
     label_names: Tuple[str, ...]
     compiled: Optional[CompiledPipeline] = None
-    _compile_failed: bool = field(default=False, repr=False)
 
-    def compile(self, dtype="float32") -> CompiledPipeline:
-        """Fold this level into a :class:`CompiledPipeline` and keep it.
-
-        Raises:
-            CompileError: the classifier has no discriminant fold.
-        """
-        self.compiled = CompiledPipeline.build(
-            self.pipeline,
-            self.classifier,
-            self.label_names,
-            dtype=dtype,
-        )
-        self._compile_failed = False
-        return self.compiled
-
-    def _compiled_for(
-        self, n_components: Optional[int]
-    ) -> Optional[CompiledPipeline]:
-        """The compiled artifact, if usable for this call.
-
-        Builds lazily once; a failed build is remembered so unsupported
-        classifiers don't retry per batch.  Component-truncated calls
-        (the Fig. 5 sweep) stay on the staged path.
-        """
-        if not get_flag("REPRO_COMPILED_INFER"):
-            return None
-        if self.compiled is None and not self._compile_failed:
-            try:
-                self.compile()
-            except CompileError:
-                self._compile_failed = True
-        compiled = self.compiled
-        if compiled is None:
-            return None
-        if (
-            n_components is not None
-            and n_components != compiled.n_components
+    def __post_init__(self) -> None:
+        if self.compiled is None and CompiledPipeline.supports(
+            self.classifier
         ):
-            return None
-        return compiled
+            self.compiled = CompiledPipeline.build(
+                self.pipeline, self.classifier, self.label_names
+            )
 
     @classmethod
     def train(
@@ -171,16 +134,12 @@ class LevelModel:
             )
 
     def predict(
-        self,
-        windows: np.ndarray,
-        n_components: Optional[int] = None,
-        adapt: Optional[bool] = None,
+        self, windows: np.ndarray, adapt: Optional[bool] = None
     ) -> np.ndarray:
         """Predict integer codes for raw windows."""
-        compiled = self._compiled_for(n_components)
-        if compiled is not None:
-            return compiled.predict(windows, adapt=adapt)
-        features = self.pipeline.transform(windows, n_components, adapt=adapt)
+        if self.compiled is not None:
+            return self.compiled.predict(windows, adapt=adapt)
+        features = self.pipeline.transform(windows, adapt=adapt)
         return self.classifier.predict(features)
 
     def predict_keys(
@@ -191,10 +150,7 @@ class LevelModel:
         return list(names[self.predict(windows, adapt=adapt)])
 
     def predict_with_confidence(
-        self,
-        windows: np.ndarray,
-        n_components: Optional[int] = None,
-        adapt: Optional[bool] = None,
+        self, windows: np.ndarray, adapt: Optional[bool] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Predict integer codes plus per-row confidence in ``[0, 1]``.
 
@@ -206,10 +162,9 @@ class LevelModel:
         posterior of its fused discriminant scores — the same quantity
         the staged LDA/QDA/naive-Bayes ``predict_proba`` computes.
         """
-        compiled = self._compiled_for(n_components)
-        if compiled is not None:
-            return compiled.predict_with_confidence(windows, adapt=adapt)
-        features = self.pipeline.transform(windows, n_components, adapt=adapt)
+        if self.compiled is not None:
+            return self.compiled.predict_with_confidence(windows, adapt=adapt)
+        features = self.pipeline.transform(windows, adapt=adapt)
         codes = self.classifier.predict(features)
         return codes, _classifier_confidence(self.classifier, features, codes)
 
@@ -316,30 +271,22 @@ class SideChannelDisassembler:
         return model
 
     # -- compilation -----------------------------------------------------------
-    def compile(self, dtype="float32") -> Dict[str, bool]:
-        """Eagerly fold every fitted level into its compiled artifact.
+    def compile(self) -> Dict[str, bool]:
+        """Which fitted levels infer through a compiled artifact.
 
-        Best-effort: levels whose classifier has no discriminant fold
-        (SVM, one-vs-one) keep the staged path.  Returns a map of level
-        name → whether it compiled, e.g. ``{"group": True, "I1": True,
-        "Rd": False}``.
+        Every level folds its artifact once when it is fitted, so this
+        builds nothing.  Returns a map of level name → whether it has a
+        compiled artifact, e.g. ``{"group": True, "I1": True,
+        "Rd": False}``; levels whose classifier has no discriminant fold
+        (SVM, one-vs-one) predict through the staged pipeline.
         """
         outcomes: Dict[str, bool] = {}
-
-        def attempt(name: str, model: LevelModel) -> None:
-            try:
-                model.compile(dtype=dtype)
-                outcomes[name] = True
-            except CompileError:
-                model._compile_failed = True
-                outcomes[name] = False
-
         if self.group_model is not None:
-            attempt("group", self.group_model)
+            outcomes["group"] = self.group_model.compiled is not None
         for group, model in self.instruction_models.items():
-            attempt(f"I{group}", model)
+            outcomes[f"I{group}"] = model.compiled is not None
         for role, model in self.register_models.items():
-            attempt(role, model)
+            outcomes[role] = model.compiled is not None
         return outcomes
 
     # -- inference -----------------------------------------------------------
@@ -411,26 +358,17 @@ class SideChannelDisassembler:
         windows: np.ndarray,
         groups: Optional[np.ndarray] = None,
         adapt: Optional[bool] = None,
-        batched: Optional[bool] = None,
     ) -> List[str]:
         """Level-2 prediction: class key per window (hierarchical).
 
         Windows are grouped by their level-1 prediction and each group's
-        pipeline + classifier runs **once** on the whole group batch;
-        ``batched=None`` follows ``REPRO_BATCHED_TRAIN`` (default on,
-        falling back to the row-at-a-time reference when disabled).
+        pipeline + classifier runs **once** on the whole group batch.
 
         Note on ``adapt``: level-2 batches contain only the windows routed
         to one group, so their class mixture is typically *not*
         representative of training — pass ``adapt=False`` for real-code
-        streams unless the batch is known to be balanced.  The per-row
-        reference never has batches large enough to adapt, so parity with
-        it holds under ``adapt=False`` or non-batch normalization.
+        streams unless the batch is known to be balanced.
         """
-        if batched is None:
-            batched = get_flag("REPRO_BATCHED_TRAIN")
-        if not batched:
-            return self.predict_instructions_reference(windows, groups, adapt)
         windows = np.asarray(windows)
         if groups is None:
             groups = self.predict_groups(windows, adapt=adapt)
@@ -445,32 +383,6 @@ class SideChannelDisassembler:
                     continue
                 keys[rows] = model.predict_keys(windows[rows], adapt=adapt)
         return list(keys)
-
-    def predict_instructions_reference(
-        self,
-        windows: np.ndarray,
-        groups: Optional[np.ndarray] = None,
-        adapt: Optional[bool] = None,
-    ) -> List[str]:
-        """Row-at-a-time reference for :meth:`predict_instructions`.
-
-        Routes every window through its group's pipeline + classifier as
-        a batch of one — the naive streaming-disassembler loop.  Kept for
-        parity tests and as the benchmark baseline.
-        """
-        windows = np.asarray(windows)
-        if groups is None:
-            groups = self.predict_groups(windows, adapt=adapt)
-        keys: List[str] = []
-        for row in range(len(windows)):
-            model = self.instruction_models.get(int(groups[row]))
-            if model is None:
-                keys.append(f"G{int(groups[row])}?")
-                continue
-            keys.append(
-                model.predict_keys(windows[row:row + 1], adapt=adapt)[0]
-            )
-        return keys
 
     def predict_register(
         self, role: str, windows: np.ndarray, adapt: Optional[bool] = None

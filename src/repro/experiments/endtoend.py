@@ -141,9 +141,6 @@ def run(
         return spec.alias_of or spec.key
 
     pooled = np.concatenate(pooled_traces)
-    # Fold every level into its compiled GEMM artifact up front so the
-    # pooled pass (and any checkpoint resume) pays no lazy-build cost.
-    dis.compile()
     predicted_keys = store.stage(
         "pooled", lambda: dis.predict_instructions(pooled)
     )

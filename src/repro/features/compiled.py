@@ -11,8 +11,8 @@ matrices at build time:
 
 1. **Feature fold** — the CWT at fixed points is a complex linear
    operator on the trace (:meth:`repro.dsp.cwt.CWT.point_operator`), so
-   reference subtraction + selected-point extraction is one real GEMM
-   against the stacked ``[Re K | Im K]`` matrix followed by a modulus.
+   selected-point extraction is one real GEMM against the stacked
+   ``[Re K | Im K]`` matrix followed by a modulus.
 2. **Projection fold** — the normalizer's affine terms and the PCA basis
    compose into a single ``(n_points, n_components)`` matrix plus an
    offset: ``Y = V @ P + b`` with ``P = (C/σ)ᵀ`` and
@@ -26,7 +26,7 @@ matrices at build time:
 
 A batch therefore classifies as two or three GEMMs plus an argmax, with
 no per-trace (or per-class) Python dispatch.  The artifact ships a
-float32 fast path (default) and a float64 reference twin built the same
+float32 fast path (default) and a float64 twin built the same
 way — the parity suite in ``tests/features/test_compiled.py`` holds the
 f64 twin to ≤1e-10 of the staged double-precision pipeline and the f32
 path to ≤1e-4 of the staged default.  Instances hold nothing but plain
@@ -52,7 +52,7 @@ import numpy as np
 from ..ml.discriminant import LDA, QDA
 from ..ml.naive_bayes import GaussianNB
 from ..obs import trace as _obs
-from .pipeline import FeaturePipeline
+from .pipeline import FeaturePipeline, stacked_point_matrix
 
 __all__ = ["CompileError", "CompiledPipeline"]
 
@@ -61,8 +61,9 @@ class CompileError(RuntimeError):
     """The pipeline/classifier combination cannot be compiled.
 
     Raised for classifiers without a closed discriminant form (SVM,
-    one-vs-one ensembles, k-NN) and for unfitted inputs.  Callers that
-    compile opportunistically catch this and keep the staged path.
+    one-vs-one ensembles, k-NN) and for unfitted inputs.  Check
+    :meth:`CompiledPipeline.supports` first to keep the staged path for
+    classifiers that have no fold.
     """
 
 
@@ -158,13 +159,12 @@ def _precision_factor(precision: np.ndarray) -> np.ndarray:
     return eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0))[None, :]
 
 
+#: Classifiers with a discriminant fold (see :func:`_build_head`).
+_FOLDABLE = (LDA, QDA, GaussianNB)
+
+
 def _build_head(classifier):
     """Fold a fitted discriminant classifier into its GEMM head."""
-    if not isinstance(classifier, (LDA, QDA, GaussianNB)):
-        raise CompileError(
-            f"no discriminant fold for {type(classifier).__name__}; "
-            "supported: LDA, QDA, GaussianNB"
-        )
     classes = getattr(classifier, "classes_", None)
     _require(classes is not None, "classifier is not fitted")
     log_priors = np.log(np.asarray(classifier.priors_, dtype=np.float64))
@@ -230,7 +230,6 @@ class CompiledPipeline:
         label_names: Optional[Tuple[str, ...]],
         dtype: np.dtype,
         point_matrix: Optional[np.ndarray],
-        point_offset: Optional[np.ndarray],
         times: Optional[np.ndarray],
         magnitude: bool,
         norm_mode: str,
@@ -249,7 +248,6 @@ class CompiledPipeline:
         self.label_names = label_names
         self.dtype = np.dtype(dtype)
         self._point_matrix = point_matrix  # (n_samples, P or 2P) or None
-        self._point_offset = point_offset  # folded reference trace
         self._times = times  # time gather for use_cwt=False
         self._magnitude = magnitude
         self._norm_mode = norm_mode
@@ -264,6 +262,11 @@ class CompiledPipeline:
         self.kind = kind
 
     # -- construction --------------------------------------------------------
+    @staticmethod
+    def supports(classifier) -> bool:
+        """Whether ``classifier`` has a discriminant fold (LDA/QDA/GNB)."""
+        return isinstance(classifier, _FOLDABLE)
+
     @classmethod
     def build(
         cls,
@@ -271,7 +274,6 @@ class CompiledPipeline:
         classifier,
         label_names: Optional[Sequence[str]] = None,
         dtype="float32",
-        reference: Optional[np.ndarray] = None,
     ) -> "CompiledPipeline":
         """Fold a fitted pipeline and classifier into one artifact.
 
@@ -280,15 +282,19 @@ class CompiledPipeline:
             classifier: fitted LDA / QDA / GaussianNB template.
             label_names: class-key names aligned with the classifier's
                 integer codes (``LevelModel.label_names``).
-            dtype: ``"float32"`` (fast path) or ``"float64"`` (reference
+            dtype: ``"float32"`` (fast path) or ``"float64"`` (exact
                 twin); all folded matrices are stored in this precision.
-            reference: optional raw reference trace subtracted from every
-                input before feature extraction; folded into a complex
-                offset so serving can pass unsubtracted captures.
 
         Raises:
             CompileError: unfitted inputs or an unsupported classifier.
         """
+        # Checked before any operator work, so an unsupported classifier
+        # costs nothing.
+        _require(
+            cls.supports(classifier),
+            f"no discriminant fold for {type(classifier).__name__}; "
+            "supported: LDA, QDA, GaussianNB",
+        )
         dtype = np.dtype(dtype)
         _require(
             dtype in (np.dtype(np.float32), np.dtype(np.float64)),
@@ -307,29 +313,14 @@ class CompiledPipeline:
             magnitude = bool(config.use_cwt and config.cwt.magnitude)
             times = None
             point_matrix = None
-            point_offset = None
             if config.use_cwt:
-                operator = pipeline._cwt.point_operator(pipeline.points)
-                if magnitude:
-                    point_matrix = np.ascontiguousarray(
-                        np.hstack([operator.real, operator.imag])
-                    )
-                else:
-                    point_matrix = np.ascontiguousarray(operator.real)
-                if reference is not None:
-                    folded_ref = (
-                        np.asarray(reference, dtype=np.float64)
-                        @ point_matrix
-                    )
-                    point_offset = folded_ref
+                point_matrix = stacked_point_matrix(
+                    pipeline._cwt, pipeline.points, magnitude
+                )
             else:
                 times = np.array(
                     [k for (_, k) in pipeline.points], dtype=np.intp
                 )
-                if reference is not None:
-                    point_offset = np.asarray(reference, dtype=np.float64)[
-                        times
-                    ]
 
             # Normalization affine terms (identity for mode "none").
             if config.normalize == "none":
@@ -376,7 +367,6 @@ class CompiledPipeline:
                 "normalize": config.normalize,
                 "use_cwt": bool(config.use_cwt),
                 "magnitude": magnitude,
-                "has_reference": reference is not None,
             }
             def cast(array):
                 return None if array is None else array.astype(dtype)
@@ -389,7 +379,6 @@ class CompiledPipeline:
                 ),
                 dtype=dtype,
                 point_matrix=cast(point_matrix),
-                point_offset=cast(point_offset),
                 times=times,
                 magnitude=magnitude,
                 norm_mode=config.normalize,
@@ -424,13 +413,8 @@ class CompiledPipeline:
                 f"got {batch.shape[1]}"
             )
         if self._times is not None:
-            values = batch[:, self._times]
-            if self._point_offset is not None:
-                values = values - self._point_offset
-            return values
+            return batch[:, self._times]
         product = batch @ self._point_matrix
-        if self._point_offset is not None:
-            product = product - self._point_offset
         if not self._magnitude:
             return product
         n_points = self.meta["n_points"]
@@ -501,15 +485,4 @@ class CompiledPipeline:
         return (
             self.classes_[columns],
             proba[np.arange(len(columns)), columns],
-        )
-
-    def predict_log_proba(
-        self, traces: np.ndarray, adapt: Optional[bool] = None
-    ) -> np.ndarray:
-        """Normalized log posterior (matches the staged classifiers)."""
-        scores = self.decision_scores(traces, adapt=adapt)
-        scores = np.asarray(scores, dtype=np.float64)
-        scores = scores - scores.max(axis=1, keepdims=True)
-        return scores - np.log(
-            np.exp(scores).sum(axis=1, keepdims=True, dtype=np.float64)
         )

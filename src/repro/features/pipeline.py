@@ -15,7 +15,7 @@ import numpy as np
 
 from ..dsp.cwt import CWT, CwtConfig, get_cwt
 from ..obs import trace as _obs
-from ..util.knobs import get_flag, get_int
+from ..util.knobs import get_int
 from .kl import WaveletStats
 from .pca import PCA
 from .selection import DnvpSelector, Point
@@ -25,7 +25,24 @@ __all__ = [
     "FeatureConfig",
     "FeaturePipeline",
     "compute_class_stats",
+    "stacked_point_matrix",
 ]
+
+
+def stacked_point_matrix(
+    cwt: CWT, points: Sequence[Point], magnitude: bool
+) -> np.ndarray:
+    """The selected points' CWT functionals as one real GEMM operand.
+
+    ``traces @ matrix`` evaluates every point at once: with
+    ``magnitude`` the matrix is ``[Re K | Im K]`` (``2P`` columns, the
+    caller takes the modulus of each real/imaginary pair), otherwise
+    ``Re K`` (``P`` columns).
+    """
+    operator = cwt.point_operator(points)
+    if magnitude:
+        return np.ascontiguousarray(np.hstack([operator.real, operator.imag]))
+    return np.ascontiguousarray(operator.real)
 
 
 def compute_class_stats(
@@ -167,24 +184,19 @@ class FeaturePipeline:
             return self._cwt.transform(traces)
         return np.asarray(traces, dtype=np.float32)[:, None, :]
 
-    def _point_values(
-        self, traces: np.ndarray, staged: bool = False
-    ) -> np.ndarray:
-        """Unified DNVP feature values for raw traces.
+    def _point_values(self, traces: np.ndarray) -> np.ndarray:
+        """Unified DNVP feature values for raw traces (inference).
 
-        Inference-time calls (``staged=False``) route through a cached
-        folded point-operator GEMM — one matrix product against the
-        selected points' complex CWT functionals plus a modulus —
-        skipping all per-stage FFT/inverse machinery.  Fitting keeps the
-        staged path (``staged=True``) so the normalization statistics
-        and PCA basis are bit-identical to earlier releases; the
-        ``REPRO_COMPILED_INFER`` knob forces the staged path everywhere.
+        Routes through a cached folded point-operator GEMM — one matrix
+        product against the selected points' complex CWT functionals
+        plus a modulus — skipping all per-stage FFT/inverse machinery.
+        Fitting evaluates the points with the staged
+        :meth:`~repro.dsp.cwt.CWT.transform_points` instead, so the
+        normalization statistics and PCA basis are bit-identical to
+        earlier releases.
         """
         if self.config.use_cwt:
-            assert self._cwt is not None
-            if not staged and get_flag("REPRO_COMPILED_INFER"):
-                return self._folded_point_values(traces)
-            return self._cwt.transform_points(traces, self.points)
+            return self._folded_point_values(traces)
         times = np.array([k for (_, k) in self.points])
         return np.asarray(traces, dtype=np.float64)[:, times]
 
@@ -200,12 +212,9 @@ class FeaturePipeline:
         """
         assert self._cwt is not None
         if self._point_gemm is None:
-            operator = self._cwt.point_operator(self.points)
-            if self.config.cwt.magnitude:
-                matrix = np.hstack([operator.real, operator.imag])
-            else:
-                matrix = operator.real
-            self._point_gemm = np.ascontiguousarray(matrix)
+            self._point_gemm = stacked_point_matrix(
+                self._cwt, self.points, self.config.cwt.magnitude
+            )
         matrix = self._point_gemm
         quantize_dtype = (
             np.float32
@@ -344,8 +353,10 @@ class FeaturePipeline:
             self._point_gemm = None
             if image_cache is not None:
                 values = self._gather_point_values(image_cache, len(traces))
+            elif self.config.use_cwt:
+                values = self._cwt.transform_points(traces, self.points)
             else:
-                values = self._point_values(traces, staged=True)
+                values = self._point_values(traces)
             values = self._normalize(values, fit=True)
             with _obs.span("pca.fit", n_points=len(self.points)):
                 self.pca = PCA(n_components=self.config.n_components).fit(

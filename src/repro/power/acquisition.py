@@ -869,8 +869,11 @@ class Acquisition:
             :class:`ProgramCapture` with one window per executed
             instruction, reference-subtracted like the profiling traces.
         """
-        rng = self._rng("program", getattr(program, "__hash__", lambda: 0)())
         cpu = AvrCpu(program)
+        # Seeded from the assembled flash image: a tuple of ints hashes the
+        # same in every process (text does not, under PYTHONHASHSEED), and
+        # text, list and tuple forms of one program share one image.
+        rng = self._rng("program", hash(tuple(cpu.flash)))
         self._randomize_state(cpu, rng)
         events = cpu.run(max_steps=200_000)
         analog = self.model.render_events(events)

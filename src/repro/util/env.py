@@ -1,9 +1,8 @@
 """Environment-variable knob parsing shared by the fast paths.
 
-Every vectorized/parallel fast path in this package is opt-out through an
-environment variable (``REPRO_BATCHED_RENDER``, ``REPRO_BATCHED_TRAIN``,
-``REPRO_PARALLEL_MIN_FILES``, ...).  The parsing rules live here so each
-knob behaves identically: flags accept ``0/false/off`` (case-insensitive)
+Tuning knobs of this package are environment variables
+(``REPRO_N_JOBS``, ``REPRO_CWT_MEM_MB``, ``REPRO_PARALLEL_MIN_FILES``,
+...).  The parsing rules live here so each knob behaves identically: flags accept ``0/false/off`` (case-insensitive)
 as disabled and anything else as enabled; numeric knobs fall back to
 their default on unparsable values instead of raising at import time.
 

@@ -230,31 +230,6 @@ KNOBS: Dict[str, Knob] = _declare(
         ),
     ),
     Knob(
-        name="REPRO_BATCHED_RENDER",
-        kind="flag",
-        default=True,
-        doc="set `0` to force the reference renderer",
-    ),
-    Knob(
-        name="REPRO_BATCHED_TRAIN",
-        kind="flag",
-        default=True,
-        doc=(
-            "set `0` to force the serial training + inference references "
-            "(KL fields, selection, one-vs-one fitting, hierarchical "
-            "prediction)"
-        ),
-    ),
-    Knob(
-        name="REPRO_COMPILED_INFER",
-        kind="flag",
-        default=True,
-        doc=(
-            "set `0` to force staged (uncompiled) feature extraction and "
-            "classification instead of the folded-GEMM compiled path"
-        ),
-    ),
-    Knob(
         name="REPRO_KL_BLOCK_PAIRS",
         kind="int",
         default=128,

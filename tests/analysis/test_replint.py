@@ -91,7 +91,7 @@ class TestRep001KnobRegistry:
             from ..util.knobs import get_flag
             from ..util.env import env_int
             __all__ = ["a", "b"]
-            a = get_flag("REPRO_BATCHED_TRAIN")
+            a = get_flag("REPRO_FAULT_SCREEN")
             b = env_int("REPRO_TEST_WHATEVER", 1)
             ''',
         )
@@ -99,74 +99,95 @@ class TestRep001KnobRegistry:
 
 
 class TestRep002Parity:
-    PAIR = '''
-    __all__ = ["frob", "frob_reference"]
-    def frob(x):
-        return x
+    ORACLE = '''
     def frob_reference(x):
+        return x
+    def twiddle_reference(x):
         return x
     '''
 
     def test_fires_without_a_parity_test(self, tmp_path):
-        write(tmp_path, "src/repro/dsp/frob.py", self.PAIR)
+        write(tmp_path, "tests/oracles/frob.py", self.ORACLE)
         found = lint(tmp_path)
-        assert codes(found) == ["REP002"]
+        assert codes(found) == ["REP002", "REP002"]
         assert "frob_reference" in found[0].message
+        assert "twiddle_reference" in found[1].message
 
     def test_quiet_when_a_test_references_both(self, tmp_path):
-        write(tmp_path, "src/repro/dsp/frob.py", self.PAIR)
+        write(tmp_path, "tests/oracles/frob.py", self.ORACLE)
         write(
             tmp_path,
             "tests/dsp/test_frob.py",
             '''
-            from repro.dsp.frob import frob, frob_reference
+            from tests.oracles.frob import frob_reference, twiddle_reference
             def test_parity():
-                assert frob(1) == frob_reference(1)
+                assert frob_reference(1) == twiddle_reference(1)
             ''',
         )
         assert codes(lint(tmp_path)) == []
 
-    def test_needs_both_names_in_one_test_module(self, tmp_path):
-        write(tmp_path, "src/repro/dsp/frob.py", self.PAIR)
+    def test_each_oracle_needs_its_own_reference(self, tmp_path):
+        write(tmp_path, "tests/oracles/frob.py", self.ORACLE)
         write(
             tmp_path,
             "tests/dsp/test_half.py",
+            '''
+            from tests.oracles import frob
+            def test_one_oracle_only():
+                assert frob.frob_reference(1) == 1
+            ''',
+        )
+        found = lint(tmp_path)
+        assert codes(found) == ["REP002"]
+        assert "twiddle_reference" in found[0].message
+
+    def test_needs_both_names_in_one_test_module(self, tmp_path):
+        """A parity test names the oracle, not only the fast path."""
+        write(
+            tmp_path,
+            "tests/oracles/frob.py",
+            '''
+            def frob_reference(x):
+                return x
+            ''',
+        )
+        write(
+            tmp_path,
+            "tests/dsp/test_fast_only.py",
             '''
             from repro.dsp.frob import frob
             def test_fast_only():
                 assert frob(1) == 1
             ''',
         )
-        assert codes(lint(tmp_path)) == ["REP002"]
+        found = lint(tmp_path)
+        assert codes(found) == ["REP002"]
+        assert "frob_reference" in found[0].message
 
     def test_private_references_are_exempt(self, tmp_path):
         write(
             tmp_path,
-            "src/repro/dsp/frob.py",
+            "tests/oracles/frob.py",
             '''
-            __all__ = []
-            def _frob(x):
-                return x
             def _frob_reference(x):
                 return x
             ''',
         )
         assert codes(lint(tmp_path)) == []
 
-    def test_method_pairs_are_checked(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/dsp/frob.py",
+    def test_mentions_outside_test_modules_do_not_count(self, tmp_path):
+        write(tmp_path, "tests/oracles/frob.py", self.ORACLE)
+        # Another oracle, a benchmark and a conftest all name both
+        # oracles; none of them is a tests/**/test_*.py module.
+        caller = '''
+            from tests.oracles.frob import frob_reference, twiddle_reference
+            def _use():
+                return frob_reference(1) + twiddle_reference(1)
             '''
-            __all__ = ["Frobber"]
-            class Frobber:
-                def transform(self, x):
-                    return x
-                def transform_reference(self, x):
-                    return x
-            ''',
-        )
-        assert codes(lint(tmp_path)) == ["REP002"]
+        write(tmp_path, "tests/oracles/other.py", caller)
+        write(tmp_path, "tests/conftest.py", caller)
+        write(tmp_path, "benchmarks/bench_frob.py", caller)
+        assert codes(lint(tmp_path)).count("REP002") == 2
 
 
 class TestRep003Determinism:
@@ -932,7 +953,7 @@ class TestRunnerAndCli:
             main(["--check-docs", "--no-lint", "--readme", str(readme)]) == 0
         )
         text = readme.read_text(encoding="utf-8")
-        assert "REPRO_BATCHED_TRAIN" in text
+        assert "REPRO_FAULT_SCREEN" in text
         assert text.endswith("tail\n")
 
 

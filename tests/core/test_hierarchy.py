@@ -11,6 +11,7 @@ from repro.core import SideChannelDisassembler, csa_config
 from repro.features import FeatureConfig
 from repro.ml import QDA
 from repro.power import Acquisition
+from tests.oracles.hierarchy import predict_instructions_reference
 
 FAST = FeatureConfig(kl_threshold="auto:0.9", top_k=5, n_components=10)
 
@@ -114,13 +115,13 @@ class TestHierarchy:
 
 
 class TestBatchedInference:
-    """Parity of the grouped-batch level-2 walk vs the per-row reference."""
+    """Parity of the grouped-batch level-2 walk vs the per-row oracle."""
 
     def test_batched_matches_reference(self, small_world):
         acq, dis, g1, g5 = small_world
         windows = np.concatenate([g1.traces[:15], g5.traces[:15]])
-        batched = dis.predict_instructions(windows, adapt=False, batched=True)
-        reference = dis.predict_instructions_reference(windows, adapt=False)
+        batched = dis.predict_instructions(windows, adapt=False)
+        reference = predict_instructions_reference(dis, windows, adapt=False)
         assert batched == reference
 
     def test_batched_matches_reference_with_given_groups(self, small_world):
@@ -128,15 +129,8 @@ class TestBatchedInference:
         windows = g5.traces[:20]
         groups = dis.predict_groups(windows, adapt=False)
         assert dis.predict_instructions(
-            windows, groups, adapt=False, batched=True
-        ) == dis.predict_instructions_reference(windows, groups, adapt=False)
-
-    def test_env_flag_forces_reference(self, small_world, monkeypatch):
-        acq, dis, g1, g5 = small_world
-        windows = g1.traces[:10]
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        forced = dis.predict_instructions(windows, adapt=False)
-        assert forced == dis.predict_instructions_reference(windows, adapt=False)
+            windows, groups, adapt=False
+        ) == predict_instructions_reference(dis, windows, groups, adapt=False)
 
     def test_missing_level_parity(self, small_world):
         acq, dis, g1, g5 = small_world
@@ -144,8 +138,8 @@ class TestBatchedInference:
         fresh.group_model = dis.group_model
         windows = g1.traces[:8]
         assert fresh.predict_instructions(
-            windows, adapt=False, batched=True
-        ) == fresh.predict_instructions_reference(windows, adapt=False)
+            windows, adapt=False
+        ) == predict_instructions_reference(fresh, windows, adapt=False)
 
 
 class TestCsaConfigHelper:

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import PairwiseVotingClassifier, ShiftReport
-from repro.features import FeatureConfig
+from repro.dsp import get_cwt
+from repro.features import DnvpSelector, FeatureConfig
+from repro.features.pipeline import compute_class_stats
 from repro.ml import QDA
 from repro.power import Acquisition
+from tests.oracles.selection import dnvp_fit_reference
+from tests.oracles.voting import voting_predict_reference
 
 
 @pytest.fixture(scope="module")
@@ -60,26 +64,32 @@ class TestVoting:
         voting.fit(train)
         np.testing.assert_array_equal(
             voting.predict(test.traces),
-            voting.predict_reference(test.traces),
+            voting_predict_reference(voting, test.traces),
         )
 
-    def test_batched_fit_matches_reference_fit(self, g1_subset, monkeypatch):
-        """REPRO_BATCHED_TRAIN=0 selects identical per-pair points."""
-        train, test = g1_subset
+    def test_batched_fit_matches_reference_fit(self, g1_subset):
+        """The serial per-pair selection oracle picks identical points."""
+        train, _ = g1_subset
         config = FeatureConfig(kl_threshold="auto:0.9", n_components=3)
         fast = PairwiseVotingClassifier(
             config, classifier_factory=QDA, n_variables=3
         )
         fast.fit(train)
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        slow = PairwiseVotingClassifier(
-            config, classifier_factory=QDA, n_variables=3
+        stats = compute_class_stats(
+            train.traces,
+            train.labels,
+            train.program_ids,
+            train.label_names,
+            get_cwt(train.n_samples, config.cwt),
         )
-        slow.fit(train)
-        assert fast._points == slow._points
-        np.testing.assert_array_equal(
-            fast.predict(test.traces), slow.predict(test.traces)
+        slow = dnvp_fit_reference(
+            DnvpSelector(config.kl_threshold, top_k=fast.points_per_pair),
+            stats,
         )
+        assert fast._points == slow.points
+        assert [
+            [fast._points[c] for c in pair.columns] for pair in fast._pairs
+        ] == [selection.points for selection in slow.pair_selections]
 
     def test_points_per_pair_default(self):
         voting = PairwiseVotingClassifier(n_variables=3)

@@ -5,6 +5,10 @@ per-cell pacing, SIGKILLs it after the first shard checkpoint lands (a
 genuine hard kill — no atexit, no finally blocks), then resumes into the
 same checkpoint directory and asserts the merged ResultTable matches an
 uninterrupted run row for row.
+
+The campaign runs in its own session, so once the killed driver is
+reaped the pool workers it orphaned are killed as a process group and
+never outlive the test.
 """
 
 import os
@@ -26,6 +30,44 @@ def _campaign_env():
     env = dict(os.environ)  # replint: disable=REP001 -- passed through to a subprocess verbatim, no knob is read
     env["PYTHONPATH"] = os.path.abspath(src)
     return env
+
+
+def _live_group_members(pgid):
+    """PIDs of non-zombie processes in process group ``pgid``."""
+    if not os.path.isdir("/proc"):  # pragma: no cover - non-Linux POSIX
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we were scanning
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+def _kill_group(pgid, deadline_s=30.0):
+    """SIGKILL what is left of a process group; True once it is gone."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # nothing left
+    started = time.time()
+    while time.time() - started < deadline_s:
+        if not _live_group_members(pgid):
+            return True
+        time.sleep(0.05)
+    return False
 
 
 def _wait_for_first_shard(ckpt_dir, proc, deadline_s=120.0):
@@ -55,16 +97,21 @@ def test_sigkill_then_resume_is_bit_identical(tmp_path):
         env=_campaign_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,  # driver + pool workers: one process group
     )
+    assert os.getpgid(proc.pid) == proc.pid
     try:
         saw_shard = _wait_for_first_shard(ckpt, proc)
         if proc.poll() is None:
-            os.kill(proc.pid, signal.SIGKILL)
+            os.kill(proc.pid, signal.SIGKILL)  # the driver only
         proc.wait(timeout=30)
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup belt
             proc.kill()
             proc.wait(timeout=30)
+        # The driver is reaped; its orphaned pool workers are not.
+        group_gone = _kill_group(proc.pid)
+    assert group_gone, "campaign workers outlived the killed driver"
     assert saw_shard, "campaign never checkpointed its first shard"
     killed_shards = sorted(p.name for p in ckpt.glob("shard-*.pkl"))
     assert killed_shards, "SIGKILL landed before any checkpoint survived"

@@ -11,7 +11,9 @@ staged pipeline + classifier it was built from:
 
 across all three discriminant heads (LDA / QDA / GaussianNB), plus
 pickle round-trips, build determinism, unsupported-classifier errors,
-and the batch-adaptation semantics of :class:`FeaturePipeline`.
+and the batch-adaptation semantics of :class:`FeaturePipeline`.  The
+staged side comes from the ``tests/oracles/staged.py`` oracle wherever
+the pipeline itself would take the folded path.
 """
 
 import pickle
@@ -28,6 +30,7 @@ from repro.features import (
     FeaturePipeline,
 )
 from repro.ml import LDA, QDA, GaussianNB, OneVsOneClassifier, SVC
+from tests.oracles.staged import predict_staged, transform_staged
 
 
 def synthetic_traces(rng, n_per_class, n_classes=3, n_samples=128):
@@ -254,18 +257,40 @@ class TestArtifact:
         with pytest.raises(CompileError):
             CompiledPipeline.build(pipe, QDA(), ())
 
+    def test_unsupported_classifier_fails_before_operator_work(
+        self, single_fit, monkeypatch
+    ):
+        pipe, traces, labels, names = single_fit
+        features = pipe.transform(traces)
+        calls = []
+        original = type(pipe._cwt).point_operator
+
+        def counting(self, points):
+            calls.append(len(points))
+            return original(self, points)
+
+        monkeypatch.setattr(type(pipe._cwt), "point_operator", counting)
+        svc = SVC(max_iter=10).fit(features[:40], labels[:40])
+        ovo = OneVsOneClassifier(QDA()).fit(features, labels)
+        for classifier in (svc, ovo):
+            assert not CompiledPipeline.supports(classifier)
+            with pytest.raises(CompileError):
+                CompiledPipeline.build(pipe, classifier, names)
+        assert calls == []
+        CompiledPipeline.build(pipe, QDA().fit(features, labels), names)
+        assert calls == [pipe.n_points]  # the counter does count
+
 
 class TestLevelModelRouting:
-    """The hierarchy's lazy compiled routing and its staged fallback."""
+    """The hierarchy's compiled routing and its staged fallback."""
 
-    def test_predictions_match_staged_path(self, single_fit, monkeypatch):
+    def test_predictions_match_staged_path(self, single_fit):
         pipe, traces, labels, names = single_fit
         clf = QDA().fit(pipe.transform(traces), labels)
         model = LevelModel(pipeline=pipe, classifier=clf, label_names=names)
+        assert model.compiled is not None  # built at construction
         compiled_pred = model.predict(traces)
-        assert model.compiled is not None  # lazily built
-        monkeypatch.setenv("REPRO_COMPILED_INFER", "0")
-        staged_pred = model.predict(traces)
+        staged_pred = predict_staged(model, traces)
         assert (compiled_pred == staged_pred).mean() > 0.99
 
     def test_unsupported_classifier_falls_back(self, single_fit):
@@ -273,26 +298,30 @@ class TestLevelModelRouting:
         features = pipe.transform(traces)
         ovo = OneVsOneClassifier(QDA()).fit(features, labels)
         model = LevelModel(pipeline=pipe, classifier=ovo, label_names=names)
+        assert model.compiled is None
         staged_pred = ovo.predict(features)
         np.testing.assert_array_equal(model.predict(traces), staged_pred)
-        assert model.compiled is None
-        assert model._compile_failed
-        with pytest.raises(CompileError):
-            model.compile()
 
-    def test_component_truncation_stays_staged(self, single_fit):
+    def test_artifact_is_built_once(self, single_fit, monkeypatch):
         pipe, traces, labels, names = single_fit
-        features = pipe.transform(traces)[:, :3]
-        clf = QDA().fit(features, labels)
+        clf = QDA().fit(pipe.transform(traces), labels)
+        builds = []
+        original = CompiledPipeline.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(args[0])
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledPipeline, "build", classmethod(counting))
         model = LevelModel(pipeline=pipe, classifier=clf, label_names=names)
-        truncated = model.predict(traces, n_components=3)
-        np.testing.assert_array_equal(truncated, clf.predict(features))
+        model.predict(traces)
+        model.predict_with_confidence(traces[:3])
+        assert builds == [pipe]
 
     def test_level_model_pickles_with_compiled(self, single_fit):
         pipe, traces, labels, names = single_fit
         clf = QDA().fit(pipe.transform(traces), labels)
         model = LevelModel(pipeline=pipe, classifier=clf, label_names=names)
-        model.compile()
         restored = pickle.loads(pickle.dumps(model))
         assert restored.compiled is not None
         np.testing.assert_array_equal(
@@ -326,11 +355,10 @@ class TestNoCwtPath:
 class TestPipelineFoldedPath:
     """``FeaturePipeline`` inference itself rides the folded GEMM."""
 
-    def test_knob_off_matches_folded(self, single_fit, monkeypatch):
+    def test_staged_points_match_folded(self, single_fit):
         pipe, traces, _, _ = single_fit
         folded = pipe.transform(traces)
-        monkeypatch.setenv("REPRO_COMPILED_INFER", "0")
-        staged = pipe.transform(traces)
+        staged = transform_staged(pipe, traces)
         np.testing.assert_allclose(folded, staged, rtol=1e-4, atol=1e-4)
 
     def test_point_gemm_cache_dropped_from_pickle(self, single_fit):

@@ -179,7 +179,10 @@ class TestSinglePassFit:
         traces, _, _, _ = data
         pipe = FeaturePipeline(self._config())
         assert pipe._image_cache_fits(traces)
-        big = np.zeros((10_000_000, 315), dtype=np.float32)
+        # A zero-stride view: the full shape without allocating 11.7 GiB.
+        big = np.broadcast_to(
+            np.zeros(315, dtype=np.float32), (10_000_000, 315)
+        )
         assert not pipe._image_cache_fits(big)
 
 

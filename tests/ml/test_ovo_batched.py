@@ -1,9 +1,14 @@
-"""Parity tests: shared-statistic OvO fitting vs the per-pair reference."""
+"""Parity tests: shared-statistic OvO fitting vs the per-pair oracles."""
 
 import numpy as np
 import pytest
 
 from repro.ml import LDA, QDA, SVC, ClassStats, GaussianNB, OneVsOneClassifier
+from tests.oracles.ovo import (
+    ovo_fit_reference,
+    ovo_predict_reference,
+    ovo_vote_matrix_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +35,8 @@ class TestSharedStatFitParity:
     @pytest.mark.parametrize("factory", BASES)
     def test_votes_and_predictions_match_reference(self, data, factory):
         X, y = data
-        fast = OneVsOneClassifier(factory()).fit(X, y, batched=True)
-        slow = OneVsOneClassifier(factory()).fit_reference(X, y)
+        fast = OneVsOneClassifier(factory()).fit(X, y)
+        slow = ovo_fit_reference(OneVsOneClassifier(factory()), X, y)
         np.testing.assert_array_equal(fast.vote_matrix(X), slow.vote_matrix(X))
         np.testing.assert_array_equal(fast.predict(X), slow.predict(X))
 
@@ -40,16 +45,16 @@ class TestSharedStatFitParity:
         X, y = data
         model = OneVsOneClassifier(factory()).fit(X, y)
         np.testing.assert_array_equal(
-            model.vote_matrix(X), model.vote_matrix_reference(X)
+            model.vote_matrix(X), ovo_vote_matrix_reference(model, X)
         )
         np.testing.assert_array_equal(
-            model.predict(X), model.predict_reference(X)
+            model.predict(X), ovo_predict_reference(model, X)
         )
 
     def test_lda_pair_templates_bit_exact(self, data):
         X, y = data
-        fast = OneVsOneClassifier(LDA()).fit(X, y, batched=True)
-        slow = OneVsOneClassifier(LDA()).fit_reference(X, y)
+        fast = OneVsOneClassifier(LDA()).fit(X, y)
+        slow = ovo_fit_reference(OneVsOneClassifier(LDA()), X, y)
         for pair, estimator in fast.estimators_.items():
             np.testing.assert_array_equal(
                 estimator.decision_function(X),
@@ -58,8 +63,8 @@ class TestSharedStatFitParity:
 
     def test_qda_pair_templates_bit_exact(self, data):
         X, y = data
-        fast = OneVsOneClassifier(QDA()).fit(X, y, batched=True)
-        slow = OneVsOneClassifier(QDA()).fit_reference(X, y)
+        fast = OneVsOneClassifier(QDA()).fit(X, y)
+        slow = ovo_fit_reference(OneVsOneClassifier(QDA()), X, y)
         for pair, estimator in fast.estimators_.items():
             np.testing.assert_array_equal(
                 estimator.decision_function(X),
@@ -69,8 +74,8 @@ class TestSharedStatFitParity:
     def test_gnb_soft_scores_within_tolerance(self, data):
         """The recombined smoothing term is algebraic, not bit-exact."""
         X, y = data
-        fast = OneVsOneClassifier(GaussianNB()).fit(X, y, batched=True)
-        slow = OneVsOneClassifier(GaussianNB()).fit_reference(X, y)
+        fast = OneVsOneClassifier(GaussianNB()).fit(X, y)
+        slow = ovo_fit_reference(OneVsOneClassifier(GaussianNB()), X, y)
         for pair, estimator in fast.estimators_.items():
             np.testing.assert_allclose(
                 estimator.predict_proba(X),
@@ -78,13 +83,6 @@ class TestSharedStatFitParity:
                 rtol=0,
                 atol=1e-9,
             )
-
-    def test_env_flag_forces_reference(self, data, monkeypatch):
-        X, y = data
-        monkeypatch.setenv("REPRO_BATCHED_TRAIN", "0")
-        forced = OneVsOneClassifier(QDA()).fit(X, y)
-        slow = OneVsOneClassifier(QDA()).fit_reference(X, y)
-        np.testing.assert_array_equal(forced.predict(X), slow.predict(X))
 
     def test_svc_parallel_pair_fit_matches_serial(self, data):
         X, y = data

@@ -1,5 +1,11 @@
 """Acquisition framework tests."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,18 @@ from repro.power.acquisition import (
     TARGET_SLOT,
     TEMPLATE_LENGTH,
     default_neighbor_pool,
+)
+from repro.sim import AvrCpu
+
+PROGRAM = "ldi r16, 1\nadd r16, r17\neor r3, r4\nnop"
+
+#: Captures PROGRAM (as text) in a fresh interpreter and prints a digest
+#: of the windows.
+_CAPTURE_SCRIPT = (
+    "import hashlib, sys\n"
+    "from repro.power import Acquisition\n"
+    "windows = Acquisition(seed=6).capture_program(sys.argv[1]).windows\n"
+    "print(hashlib.sha256(windows.tobytes()).hexdigest())\n"
 )
 
 
@@ -122,6 +140,37 @@ class TestMixedAndProgramCapture:
         assert [i.spec.key for i in capture.instructions] == [
             "LDI", "ADD", "NOP",
         ]
+
+    def test_capture_program_forms_agree(self):
+        """Text, word list and word tuple of one program: same windows."""
+        words = AvrCpu(PROGRAM).flash
+        captures = [
+            Acquisition(seed=6).capture_program(form).windows
+            for form in (PROGRAM, list(words), tuple(words))
+        ]
+        np.testing.assert_array_equal(captures[0], captures[1])
+        np.testing.assert_array_equal(captures[0], captures[2])
+
+    def test_capture_program_ignores_hash_seed(self):
+        """Assembly text captures identically under any PYTHONHASHSEED."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)  # replint: disable=REP001 -- passed through to a subprocess verbatim, no knob is read
+        env["PYTHONPATH"] = str(src)
+        digests = []
+        for hash_seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = hash_seed
+            result = subprocess.run(
+                [sys.executable, "-c", _CAPTURE_SCRIPT, PROGRAM],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            digests.append(result.stdout.strip())
+        windows = Acquisition(seed=6).capture_program(PROGRAM).windows
+        local = hashlib.sha256(windows.tobytes()).hexdigest()
+        assert digests == [local, local]
 
     def test_reference_window_cached(self):
         acq = Acquisition(seed=7)

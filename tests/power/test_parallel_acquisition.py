@@ -11,6 +11,7 @@ import pytest
 from repro.power.acquisition import Acquisition, RegisterSampler
 from repro.sim.cpu import AvrCpu
 from repro.util.parallel import parallel_map, resolve_n_jobs
+from tests.oracles.render import render_events_serial
 
 
 def _module_double(x):
@@ -174,20 +175,12 @@ class TestBatchedRenderer:
     @pytest.mark.parametrize("target_key", ["ADC", "LDS", "RJMP", "SBI"])
     def test_batched_matches_serial(self, bench, target_key):
         events = self._events(bench, target_key)
-        serial = bench.model.render_events_serial(events)
-        batched = bench.model.render_events(events, batched=True)
+        serial = render_events_serial(bench.model, events)
+        batched = bench.model.render_events(events)
         np.testing.assert_allclose(batched, serial, rtol=1e-9, atol=1e-12)
 
     def test_empty_stream(self, bench):
         np.testing.assert_array_equal(
-            bench.model.render_events([], batched=True),
-            bench.model.render_events_serial([]),
-        )
-
-    def test_env_flag_disables_batching(self, bench, monkeypatch):
-        events = self._events(bench, "ADC", n_segments=4)
-        monkeypatch.setenv("REPRO_BATCHED_RENDER", "0")
-        forced_serial = bench.model.render_events(events)
-        np.testing.assert_array_equal(
-            forced_serial, bench.model.render_events_serial(events)
+            bench.model.render_events([]),
+            render_events_serial(bench.model, []),
         )

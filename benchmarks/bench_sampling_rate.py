@@ -10,8 +10,8 @@ def test_sampling_rate_sweep(benchmark, bench_scale, save_result):
     save_result("sampling_rate", table.render())
     general = table.column("general SR (%)")
     # Full rate must be near-perfect; heavy decimation must degrade.
-    assert general[0] >= 97.0
+    assert general[0] >= 97.0  # paper Fig. 5b: group-1 SR 99.7 % (SVM)
     assert general[0] >= general[-1] - 1.0
     # Majority voting keeps working with few variables at moderate rates.
     voting = table.column("voting@3 SR (%)")
-    assert voting[1] >= 75.0
+    assert voting[1] >= 75.0  # paper Fig. 6: voting@3 82.0-85 % (undecimated)

@@ -15,4 +15,4 @@ def test_table1_comparison(benchmark, bench_scale, save_result):
     ours = float(rates["ours (QDA)"].split()[0])
     msgna = float(rates["Msgna-style PCA+1NN (reimpl.)"].split()[0])
     assert ours > msgna
-    assert ours > 95.0
+    assert ours > 95.0  # paper Table 1: 99.03 % incl. registers

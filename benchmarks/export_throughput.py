@@ -7,31 +7,22 @@ Usage::
     python benchmarks/export_throughput.py /tmp/bench_raw.json [--check]
 
 The emitted file records, per benchmark, the mean/min wall time of this
-run next to its baseline, so every future PR has a perf trajectory to
-compare against.  Baselines have a provenance, recorded as
-``seed_source``:
+run.  The benchmarks in :data:`SEED_BASELINE_MS` also get
+``seed_mean_ms`` and ``speedup_vs_seed`` against a frozen baseline
+measured before the matching fast path landed; no other benchmark has a
+seed baseline.
 
-* ``"frozen"`` — measured on the reference machine before the matching
-  fast path landed (:data:`SEED_BASELINE_MS`);
-* ``"carried"`` — the benchmark postdates the seed, so its earliest
-  recorded mean (carried forward from the previous
-  ``BENCH_throughput.json``) serves as the baseline;
-* ``"self"`` — first appearance: this run's own mean becomes the
-  baseline that later runs carry forward.
+Benchmarks that ship with a serial reference twin run in the same
+session (``*_reference_throughput`` / ``*_serial_throughput``)
+additionally get ``speedup_vs_reference`` — a scale-independent
+fast-vs-slow ratio from the same machine state, which is what the
+training-stack acceptance numbers are read from.
 
-Benchmarks that ship with an in-tree serial reference
-(``*_reference_throughput`` / ``*_serial_throughput`` twins run in the
-same session) additionally get ``speedup_vs_reference`` — a
-scale-independent fast-vs-slow ratio from the same machine state, which
-is what the training-stack acceptance numbers are read from.
-
-With ``--check``, exits non-zero if any ``"frozen"``-baseline benchmark
-falls below 1.0x vs seed, or any benchmark named in
-:data:`MIN_REFERENCE_SPEEDUP` falls below its required
-``speedup_vs_reference`` — the CI smoke gate against perf regressions.
-Carried/self baselines are reported but not gated: they were measured on
-whatever machine ran the previous export, so a cross-machine ratio would
-flap.
+With ``--check``, exits non-zero if any frozen-baseline benchmark falls
+below 1.0x vs seed, any benchmark named in :data:`MIN_REFERENCE_SPEEDUP`
+falls below its required ``speedup_vs_reference``, or any of these gated
+benchmarks (or a required reference twin) is missing from the run — the
+CI smoke gate against perf regressions.
 
 Every export also appends a ``bench.throughput`` record (the per-bench
 means) to the run ledger (:mod:`repro.obs.ledger`), building the history
@@ -48,15 +39,14 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 #: Frozen baseline means (ms), measured with pytest-benchmark on the
 #: reference machine (Intel Xeon @ 2.10GHz, 1 core) before the matching
 #: fast path landed.  ``test_capture_class_parallel_throughput`` is
 #: frozen at the value from before the workload-size heuristic, when a
 #: single-core host paid the worker-pool overhead on every capture.
-#: Benchmarks not listed here get a carried-forward baseline (see module
-#: docstring).
+#: Only these benchmarks carry ``seed_mean_ms`` / ``speedup_vs_seed``.
 SEED_BASELINE_MS = {
     "test_classify_batch_throughput": 76.327,
     "test_cwt_full_plane_throughput": 68.984,
@@ -89,40 +79,8 @@ MIN_REFERENCE_SPEEDUP = {
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
 
-def _prior_baselines(output: Path) -> Dict[str, float]:
-    """Earliest recorded mean per benchmark, from the previous export."""
-    if not output.exists():
-        return {}
-    try:
-        prior = json.loads(output.read_text())
-    except (OSError, ValueError):
-        return {}
-    baselines: Dict[str, float] = {}
-    for name, row in prior.get("benchmarks", {}).items():
-        seed = row.get("seed_mean_ms")
-        mean = row.get("mean_ms")
-        if isinstance(seed, (int, float)):
-            baselines[name] = float(seed)
-        elif isinstance(mean, (int, float)):
-            baselines[name] = float(mean)
-    return baselines
-
-
-def _baseline_for(
-    name: str, mean_ms: float, carried: Dict[str, float]
-) -> Tuple[float, str]:
-    """``(seed_mean_ms, seed_source)`` for one benchmark."""
-    frozen = SEED_BASELINE_MS.get(name)
-    if frozen is not None:
-        return frozen, "frozen"
-    if name in carried:
-        return carried[name], "carried"
-    return mean_ms, "self"
-
-
 def export(raw_path: str, output: Path = OUTPUT) -> dict:
     raw = json.loads(Path(raw_path).read_text())
-    carried = _prior_baselines(output)
     means = {
         bench["name"]: bench["stats"]["mean"] * 1e3
         for bench in raw["benchmarks"]
@@ -130,15 +88,15 @@ def export(raw_path: str, output: Path = OUTPUT) -> dict:
     results = {}
     for bench in raw["benchmarks"]:
         name = bench["name"]
-        mean_ms = bench["stats"]["mean"] * 1e3
-        seed_ms, seed_source = _baseline_for(name, mean_ms, carried)
+        mean_ms = means[name]
         row = {
             "mean_ms": round(mean_ms, 3),
             "min_ms": round(bench["stats"]["min"] * 1e3, 3),
-            "seed_mean_ms": round(seed_ms, 3),
-            "seed_source": seed_source,
-            "speedup_vs_seed": round(seed_ms / mean_ms, 2),
         }
+        seed_ms = SEED_BASELINE_MS.get(name)
+        if seed_ms is not None:
+            row["seed_mean_ms"] = seed_ms
+            row["speedup_vs_seed"] = round(seed_ms / mean_ms, 2)
         reference = REFERENCE_PAIRS.get(name)
         if reference is not None and reference in means:
             row["reference_mean_ms"] = round(means[reference], 3)
@@ -157,31 +115,36 @@ def export(raw_path: str, output: Path = OUTPUT) -> dict:
 def check(document: dict) -> List[str]:
     """Human-readable failures for the CI gate (empty = pass).
 
-    Gated: ``speedup_vs_seed >= 1.0`` for frozen baselines only, and the
-    per-benchmark ``speedup_vs_reference`` floors in
-    :data:`MIN_REFERENCE_SPEEDUP`.
+    Gated: ``speedup_vs_seed >= 1.0`` for every benchmark in
+    :data:`SEED_BASELINE_MS`, and the ``speedup_vs_reference`` floors in
+    :data:`MIN_REFERENCE_SPEEDUP`.  A gated benchmark missing from the
+    run fails too, so renaming or deselecting one cannot pass the gate.
     """
+    rows = document["benchmarks"]
     failures = []
-    for name, row in document["benchmarks"].items():
-        if (
-            row.get("seed_source") == "frozen"
-            and row["speedup_vs_seed"] < 1.0
-        ):
+    for name in SEED_BASELINE_MS:
+        row = rows.get(name)
+        if row is None:
+            failures.append(f"{name}: gated benchmark missing from the run")
+        elif row["speedup_vs_seed"] < 1.0:
             failures.append(
                 f"{name}: {row['speedup_vs_seed']}x vs seed (need >= 1.0)"
             )
-        floor = MIN_REFERENCE_SPEEDUP.get(name)
+    for name, floor in MIN_REFERENCE_SPEEDUP.items():
+        row = rows.get(name)
+        if row is None:
+            failures.append(f"{name}: gated benchmark missing from the run")
+            continue
         ratio: Optional[float] = row.get("speedup_vs_reference")
-        if floor is not None:
-            if ratio is None:
-                failures.append(
-                    f"{name}: reference twin "
-                    f"{REFERENCE_PAIRS[name]} missing from the run"
-                )
-            elif ratio < floor:
-                failures.append(
-                    f"{name}: {ratio}x vs reference (need >= {floor}x)"
-                )
+        if ratio is None:
+            failures.append(
+                f"{name}: reference twin "
+                f"{REFERENCE_PAIRS[name]} missing from the run"
+            )
+        elif ratio < floor:
+            failures.append(
+                f"{name}: {ratio}x vs reference (need >= {floor}x)"
+            )
     return failures
 
 
@@ -241,10 +204,13 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     doc = export(args[0])
     for name, row in doc["benchmarks"].items():
-        parts = [f"{row['speedup_vs_seed']}x vs seed ({row['seed_source']})"]
-        if row.get("speedup_vs_reference"):
+        parts = []
+        if "speedup_vs_seed" in row:
+            parts.append(f"{row['speedup_vs_seed']}x vs seed")
+        if "speedup_vs_reference" in row:
             parts.append(f"{row['speedup_vs_reference']}x vs reference")
-        print(f"{name}: {row['mean_ms']} ms  ({', '.join(parts)})")
+        note = f"  ({', '.join(parts)})" if parts else ""
+        print(f"{name}: {row['mean_ms']} ms{note}")
     ledger_record = record_to_ledger(doc)
     failed = []
     if "--check" in sys.argv[1:]:

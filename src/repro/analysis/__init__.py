@@ -3,13 +3,14 @@
 Every hot path has one production implementation in ``src``; the slow
 formulation it replaced lives on as a test oracle (``tests/oracles``)
 that a parity test holds it to.  Invariants like that used to live in
-reviewers' heads; this package makes them machine-checked.  The engine is two-phase: per-file AST rules run
-on a worker pool (memoized by content fingerprint under
-``.replint-cache/``), then whole-program rules run against an assembled
-project model — module symbol tables, a resolved import graph, and a
-call/def index (see :mod:`repro.analysis.project`).  All rules run over
-``src``, ``tests``, and ``benchmarks`` (``python -m repro.analysis``),
-in CI, and must stay green:
+reviewers' heads; this package makes them machine-checked.  The engine
+is two-phase: per-file AST rules run on a worker pool, then
+whole-program rules run against an assembled project model — module
+symbol tables, a resolved import graph, and a call/def index (see
+:mod:`repro.analysis.project`).  Every run lints ``src``, ``tests``,
+and ``benchmarks`` cold and reports every finding
+(``python -m repro.analysis``); CI runs exactly that, and it must stay
+green:
 
 ========  ===================  =================================================
 Code      Name                 Invariant
@@ -56,10 +57,8 @@ Findings are suppressed inline with a justification::
 
     started = time.time()  # replint: disable=REP003 -- progress display
 
-Accepted findings can also be ratcheted in a ``--baseline`` file, and
-PR CI lints only the changed files plus their reverse-import dependents
-(``--changed-since origin/main``).  See DESIGN.md §10 for the
-suppression policy and §14 for the project-model architecture.
+See DESIGN.md §10 for the suppression policy and §14 for the
+project-model architecture.
 """
 
 from __future__ import annotations

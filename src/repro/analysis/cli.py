@@ -5,17 +5,16 @@ Usage::
     python -m repro.analysis [PATH ...]           # lint (default roots)
     python -m repro.analysis --format json src    # machine-readable output
     python -m repro.analysis --list-rules         # what gets checked
-    python -m repro.analysis --changed-since REF  # PR mode: diff + dependents
-    python -m repro.analysis --baseline FILE      # ratchet known findings
     python -m repro.analysis --check-docs         # README table in sync?
     python -m repro.analysis --fix-docs           # rewrite the README table
 
+Every lint walks the given roots cold and reports every finding.
 Default roots are every one of ``src``, ``tests``, ``benchmarks`` that
 exists — benchmarks joins the walk because the bench-harness knobs are
 read there and REP012 judges knob liveness whole-program.
 
-Exit status: 0 clean, 1 findings (or docs drift / stale baseline
-entries), 2 usage/IO errors (bad ref, malformed baseline, missing path).
+Exit status: 0 clean, 1 findings (or docs drift), 2 usage/IO errors
+(missing path, unreadable README, no lint roots).
 """
 
 from __future__ import annotations
@@ -25,17 +24,12 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from .baseline import Baseline
 from .core import RULE_REGISTRY
 from .docs import check_knob_table, sync_knob_table
 from .reporters import render_json, render_text
 from .runner import run
 
 __all__ = ["build_parser", "default_paths", "main"]
-
-#: Incremental phase-1 cache location (see repro.analysis.cache).
-DEFAULT_CACHE_DIR = ".replint-cache"
-
 
 def default_paths() -> List[str]:
     """The lint roots that exist in the current directory."""
@@ -73,51 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes for the file walk (default: REPRO_N_JOBS)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=(
-            "incremental cache directory for per-file scans "
-            f"(default: {DEFAULT_CACHE_DIR})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="scan every file cold, ignoring and not writing the cache",
-    )
-    parser.add_argument(
-        "--changed-since",
-        metavar="REF",
-        default=None,
-        help=(
-            "report only findings in files changed since the git ref, plus "
-            "files that transitively import them (PR CI mode); the whole "
-            "tree is still modeled so cross-module rules stay sound"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "ratchet file of accepted findings; matches are demoted to "
-            "non-failing notes, stale entries fail the run"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite --baseline FILE from the current findings (carrying "
-            "over existing justifications) and exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--no-warn-unused-suppressions",
-        action="store_true",
-        help="do not report stale # replint: disable comments (REP013)",
     )
     parser.add_argument(
         "--list-rules",
@@ -163,10 +112,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(_list_rules())
         return 0
 
-    if args.update_baseline and args.baseline is None:
-        sys.stderr.write("replint: --update-baseline requires --baseline\n")
-        return 2
-
     if args.fix_docs:
         try:
             with open(args.readme, "r", encoding="utf-8") as handle:
@@ -208,47 +153,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    if args.update_baseline:
-        # Collect the *full* finding set (no baseline demotion, no diff
-        # filtering) and rewrite the ratchet file from it.
-        try:
-            result = run(
-                paths,
-                n_jobs=args.jobs,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                warn_unused_suppressions=not args.no_warn_unused_suppressions,
-            )
-            previous = (
-                Baseline.load(args.baseline)
-                if os.path.exists(args.baseline)
-                else None
-            )
-            Baseline.from_findings(result.findings, previous).save(
-                args.baseline
-            )
-        except (FileNotFoundError, ValueError, OSError) as exc:
-            sys.stderr.write(f"replint: {exc}\n")
-            return 2
-        sys.stdout.write(
-            f"replint: wrote {len(result.findings)} finding"
-            f"{'s' if len(result.findings) != 1 else ''} to {args.baseline}\n"
-        )
-        return 0
-
     try:
-        result = run(
-            paths,
-            n_jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            changed_since=args.changed_since,
-            baseline_path=args.baseline,
-            warn_unused_suppressions=not args.no_warn_unused_suppressions,
-        )
-    except (FileNotFoundError, ValueError) as exc:
+        result = run(paths, n_jobs=args.jobs)
+    except FileNotFoundError as exc:
         sys.stderr.write(f"replint: {exc}\n")
         return 2
     renderer = render_json if args.format == "json" else render_text
     sys.stdout.write(renderer(result))
-    if not result.ok or result.stale_baseline:
+    if not result.ok:
         status = 1
     return status

@@ -9,8 +9,7 @@ modules, so they need a *whole-program* view.  This module builds it:
   :class:`ModuleInfo` — import bindings resolved to absolute dotted
   targets, module-level symbol table, and a per-function index of call
   sites, ``with``-context calls, decorators, and trace-shaped loops.
-  It runs on the worker pool alongside the per-file rules and its output
-  is cached by the incremental driver (see :mod:`.cache`).
+  It runs on the worker pool alongside the per-file rules.
 * :class:`ProjectModel` assembles every ``ModuleInfo`` into the project
   graph: a resolved import graph (forward and reverse), cross-module
   symbol resolution that follows re-export chains, and a call/def index
@@ -483,23 +482,6 @@ class ProjectModel:
                         nxt.append(importer)
             frontier = nxt
         return reached
-
-    def dependents_closure(self, modules: Sequence[str]) -> Set[str]:
-        """The input modules plus everything that (transitively) imports
-        them — the invalidation set for an edit to ``modules``."""
-        closure: Set[str] = set()
-        frontier = [m for m in modules if m in self.reverse_graph]
-        closure.update(frontier)
-        while frontier:
-            nxt: List[str] = []
-            for module in frontier:
-                for importer in sorted(self.reverse_graph.get(module, ())):
-                    if importer not in closure:
-                        closure.add(importer)
-                        nxt.append(importer)
-            frontier = nxt
-        closure.update(m for m in modules if m)
-        return closure
 
     # -- symbol / call resolution --------------------------------------------
     def resolve_symbol(

@@ -1,9 +1,8 @@
 """Finding reporters: human text and machine JSON.
 
 The JSON document is a stable contract (see
-``tests/analysis/test_cli_contract.py``): version 2 added the
-``baselined`` / ``stale_baseline`` / ``cache`` fields alongside the
-unchanged version-1 core (``files_scanned``, ``rules``, ``findings``).
+``tests/analysis/test_cli_contract.py``): schema version 3 holds
+``files_scanned``, ``rules`` and ``findings``.
 """
 
 from __future__ import annotations
@@ -21,11 +20,6 @@ __all__ = ["render_json", "render_text"]
 def render_text(result: ScanResult) -> str:
     """One ``path:line:col: CODE message`` row per finding plus a summary."""
     lines: List[str] = [f.render() for f in result.findings]
-    for entry in result.stale_baseline:
-        lines.append(
-            f"{entry.path}:0:0: STALE baseline entry {entry.fingerprint} "
-            f"({entry.code}) no longer fires; run --update-baseline"
-        )
     if result.findings:
         by_code = Counter(f.code for f in result.findings)
         breakdown = ", ".join(
@@ -36,64 +30,29 @@ def render_text(result: ScanResult) -> str:
             f"{'s' if len(result.findings) != 1 else ''} in "
             f"{len({f.path for f in result.findings})} file(s) "
             f"({breakdown}); {result.n_files} files scanned"
-            + _suffix(result)
         )
     else:
-        lines.append(
-            f"replint: clean ({result.n_files} files scanned{_suffix(result)})"
-        )
+        lines.append(f"replint: clean ({result.n_files} files scanned)")
     return "\n".join(lines) + "\n"
-
-
-def _suffix(result: ScanResult) -> str:
-    """Context notes for the summary line: baseline and cache state."""
-    parts: List[str] = []
-    if result.baselined:
-        parts.append(f"{len(result.baselined)} baselined")
-    if result.stale_baseline:
-        parts.append(f"{len(result.stale_baseline)} stale baseline entries")
-    if result.n_cached:
-        parts.append(f"{result.n_cached} from cache")
-    if result.n_reported_files is not None:
-        parts.append(f"report limited to {result.n_reported_files} changed+dependent files")
-    return ", " + ", ".join(parts) if parts else ""
-
-
-def _finding_rows(findings) -> List[dict]:
-    return [
-        {
-            "path": f.path,
-            "line": f.line,
-            "col": f.col,
-            "code": f.code,
-            "message": f.message,
-        }
-        for f in findings
-    ]
 
 
 def render_json(result: ScanResult) -> str:
     """Stable JSON document for CI artifacts and editor integrations."""
     payload = {
-        "version": 2,
+        "version": 3,
         "files_scanned": result.n_files,
         "rules": {
             code: cls.description for code, cls in sorted(RULE_REGISTRY.items())
         },
-        "findings": _finding_rows(result.findings),
-        "baselined": _finding_rows(result.baselined),
-        "stale_baseline": [
+        "findings": [
             {
-                "fingerprint": e.fingerprint,
-                "code": e.code,
-                "path": e.path,
-                "message": e.message,
+                "path": f.path,
+                "line": f.line,
+                "col": f.col,
+                "code": f.code,
+                "message": f.message,
             }
-            for e in result.stale_baseline
+            for f in result.findings
         ],
-        "cache": {
-            "files_from_cache": result.n_cached,
-            "files_rescanned": result.n_files - result.n_cached,
-        },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

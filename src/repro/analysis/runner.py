@@ -1,12 +1,14 @@
 """File walk + two-phase whole-program rule execution for replint.
 
-Phase 1 (per-file, parallel, cached): every file is parsed once; each
-rule's ``check_file`` findings and ``collect`` facts are captured, plus
-the file's :class:`~repro.analysis.project.ModuleInfo` slice of the
-project model.  The work fans out over
-:func:`repro.util.parallel.parallel_map` and is memoized by content
-fingerprint in ``.replint-cache/`` (see :mod:`.cache`) — a warm re-lint
-of a single-file edit parses one file, not the tree.
+Every run is cold and reports every finding in the tree, so the
+findings are a pure function of the files.
+
+Phase 1 (per-file, parallel): every file is parsed once; each rule's
+``check_file`` findings and ``collect`` facts are captured, plus the
+file's :class:`~repro.analysis.project.ModuleInfo` slice of the project
+model.  The work fans out over
+:func:`repro.util.parallel.parallel_map`, whose input-ordered results
+make the findings identical for any worker count.
 
 Phase 2 (whole-program, serial): the collected ``ModuleInfo`` slices
 are assembled into a :class:`~repro.analysis.project.ProjectModel`
@@ -15,16 +17,8 @@ are assembled into a :class:`~repro.analysis.project.ProjectModel`
 findings are subject to the owning file's inline suppressions, exactly
 like per-file ones.
 
-Post-passes, in order:
-
-* **unused suppressions** (REP013) — any ``# replint: disable`` comment
-  that silenced nothing across *all* phases is itself reported;
-* **--changed-since** — findings are filtered to the edited files plus
-  their reverse-import closure (an edit to ``dsp.cwt`` re-reports every
-  module that can reach it; anything else is noise for a PR diff);
-* **--baseline** — findings fingerprinted in the ratchet file are
-  demoted to non-failing "baselined" notes and stale entries surface
-  (see :mod:`.baseline`).
+Last, every ``# replint: disable`` comment that silenced nothing across
+*all* phases is itself reported (REP013).
 """
 
 from __future__ import annotations
@@ -35,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..util.parallel import parallel_map
-from .baseline import Baseline, BaselineEntry
-from .cache import ScanCache, changed_files, file_fingerprint, rules_signature
 from .core import PARSE_ERROR_CODE, Finding, Suppressions
 from .project import ModuleInfo, ProjectModel
 from .rules import all_rules
@@ -45,14 +37,13 @@ from .rules.suppressions import UNUSED_SUPPRESSION_CODE
 __all__ = ["ScanResult", "iter_python_files", "run"]
 
 #: Directories never walked for lintable files: caches, VCS internals,
-#: and build output.  Kept explicit so a stray ``build/lib/...`` copy or
-#: the scan cache itself can never shadow real findings.
+#: and build output.  Kept explicit so a stray ``build/lib/...`` copy
+#: can never shadow real findings.
 _EXCLUDED_DIRS = frozenset(
     {
         "__pycache__",
         ".git",
         ".pytest_cache",
-        ".replint-cache",
         ".mypy_cache",
         ".ruff_cache",
         "build",
@@ -63,10 +54,9 @@ _EXCLUDED_DIRS = frozenset(
 
 @dataclass
 class _FileScan:
-    """Picklable per-file scan output (worker -> parent, and the unit
-    the incremental cache stores).  ``findings`` are *raw* — inline
-    suppressions are applied in the parent so suppression usage can be
-    accounted across every phase."""
+    """Picklable per-file scan output (worker -> parent).  ``findings``
+    are *raw* — inline suppressions are applied in the parent so
+    suppression usage can be accounted across every phase."""
 
     path: str
     findings: List[Finding] = field(default_factory=list)
@@ -84,27 +74,19 @@ class ScanResult:
 
     findings: List[Finding]
     n_files: int
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
-    n_cached: int = 0
-    n_reported_files: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return not self.findings
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.n_cached / self.n_files if self.n_files else 0.0
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
     """Expand files/directories into a deterministic sorted list of
     ``.py`` files.
 
-    Cache (``.replint-cache/``, ``__pycache__``), VCS, and build
-    directories are pruned; the result is sorted after normalization so
-    the order never depends on filesystem enumeration order.
+    Cache (``__pycache__``, tool caches), VCS, and build directories
+    are pruned; the result is sorted after normalization so the order
+    never depends on filesystem enumeration order.
     """
     files: List[str] = []
     for path in paths:
@@ -245,115 +227,35 @@ class _SuppressionLedger:
         return findings
 
 
-def _affected_paths(
-    changed: Sequence[str],
-    files: Sequence[str],
-    project: ProjectModel,
-) -> Set[str]:
-    """Changed files plus their reverse-import closure, as scan paths.
-
-    Import-graph-aware invalidation: an edit can break a cross-module
-    invariant in any module that (transitively) imports the edited one,
-    so all of them are re-reported; unrelated files are not.
-    """
-    norm = {os.path.abspath(f): f for f in files}
-    changed_scan_paths: Set[str] = set()
-    for path in changed:
-        hit = norm.get(os.path.abspath(path))
-        if hit is not None:
-            changed_scan_paths.add(hit)
-    changed_modules = [
-        project.by_path[p].module
-        for p in sorted(changed_scan_paths)
-        if p in project.by_path and project.by_path[p].module
-    ]
-    affected_modules = project.dependents_closure(changed_modules)
-    affected = set(changed_scan_paths)
-    for module in affected_modules:
-        info = project.by_module.get(module)
-        if info is not None:
-            affected.add(info.path)
-    return affected
-
-
-def run(
-    paths: Sequence[str],
-    n_jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    changed_since: Optional[str] = None,
-    baseline_path: Optional[str] = None,
-    warn_unused_suppressions: bool = True,
-) -> ScanResult:
-    """Lint ``paths`` and return every reportable finding, sorted.
+def run(paths: Sequence[str], n_jobs: Optional[int] = None) -> ScanResult:
+    """Lint ``paths`` cold and return every finding, sorted.
 
     Args:
         paths: files or directories to lint.
         n_jobs: phase-1 worker processes (``None`` → ``REPRO_N_JOBS``).
-        cache_dir: incremental-cache directory (``None`` disables the
-            cache entirely — every file is scanned cold).
-        changed_since: git ref; report only findings in files changed
-            relative to it plus their reverse-import dependents.  The
-            whole tree is still modeled so cross-module rules stay
-            sound.  Raises ``ValueError`` for an unresolvable ref.
-        baseline_path: ratchet file; fingerprinted findings are demoted
-            to :attr:`ScanResult.baselined`.  Raises ``ValueError`` for
-            a malformed file.
-        warn_unused_suppressions: emit REP013 for suppression comments
-            that silenced nothing (on by default, as in CI).
+            The findings are identical for any value.
     """
     files = iter_python_files(paths)
 
-    # ---- phase 1: per-file scans, cache-accelerated ------------------------
-    cache: Optional[ScanCache] = None
-    signature = ""
-    cached_entries: Dict[str, tuple] = {}
-    if cache_dir is not None:
-        cache = ScanCache(cache_dir)
-        signature = rules_signature()
-        cached_entries = cache.load(signature)
-    fingerprints: Dict[str, Optional[str]] = {
-        path: file_fingerprint(path) for path in files
-    }
-    scans: Dict[str, _FileScan] = {}
-    misses: List[str] = []
-    for path in files:
-        entry = cached_entries.get(path)
-        if (
-            entry is not None
-            and fingerprints[path] is not None
-            and entry[0] == fingerprints[path]
-        ):
-            scans[path] = entry[1]
-        else:
-            misses.append(path)
-    n_cached = len(files) - len(misses)
-    for scan in parallel_map(
-        _scan_one, misses, n_jobs=n_jobs, min_items_per_worker=16
-    ):
-        scans[scan.path] = scan
-    if cache is not None:
-        cache.store(
-            signature,
-            {
-                path: (fingerprints[path], scans[path])
-                for path in files
-                if fingerprints[path] is not None
-            },
-        )
+    # ---- phase 1: per-file scans -------------------------------------------
+    scans = parallel_map(
+        _scan_one, files, n_jobs=n_jobs, min_items_per_worker=16
+    )
 
     # ---- suppression filtering + fact/model assembly -----------------------
     ledger = _SuppressionLedger()
     findings: List[Finding] = []
     facts_by_rule: Dict[str, List[Tuple[str, object]]] = {}
     infos: List[ModuleInfo] = []
-    for path in files:
-        scan = scans[path]
+    for scan in scans:
         ledger.add_file(scan)
         findings.extend(ledger.filter(scan.findings))
         if scan.module_info is not None:
             infos.append(scan.module_info)
         for code in sorted(scan.facts):
-            facts_by_rule.setdefault(code, []).append((path, scan.facts[code]))
+            facts_by_rule.setdefault(code, []).append(
+                (scan.path, scan.facts[code])
+            )
 
     # ---- phase 2: whole-program rules --------------------------------------
     project = ProjectModel(infos)
@@ -361,30 +263,5 @@ def run(
         findings.extend(ledger.filter(rule.finalize(facts_by_rule.get(rule.code, []))))
         findings.extend(ledger.filter(rule.check_project(project)))
 
-    if warn_unused_suppressions:
-        findings.extend(ledger.unused())
-
-    # ---- --changed-since: import-graph-aware report filtering --------------
-    n_reported_files: Optional[int] = None
-    if changed_since is not None:
-        changed = changed_files(changed_since)
-        affected = _affected_paths(changed, files, project)
-        findings = [f for f in findings if f.path in affected]
-        n_reported_files = len(affected)
-
-    # ---- --baseline: demote ratcheted findings -----------------------------
-    baselined: List[Finding] = []
-    stale: List[BaselineEntry] = []
-    if baseline_path is not None:
-        findings, baselined, stale = Baseline.load(baseline_path).partition(
-            findings
-        )
-
-    return ScanResult(
-        findings=sorted(findings),
-        n_files=len(files),
-        baselined=sorted(baselined),
-        stale_baseline=stale,
-        n_cached=n_cached,
-        n_reported_files=n_reported_files,
-    )
+    findings.extend(ledger.unused())
+    return ScanResult(findings=sorted(findings), n_files=len(files))

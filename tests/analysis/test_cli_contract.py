@@ -1,5 +1,5 @@
 """CLI contract tests: exit codes, the JSON report schema (golden
-file), ``--list-rules`` coverage, and the baseline workflow.
+file), and ``--list-rules`` coverage.
 
 The golden file pins the *entire* JSON document for a fixed fixture
 tree — schema, field order (keys are sorted), rule descriptions, and
@@ -34,44 +34,25 @@ def _seed(tmp_path: Path) -> None:
 class TestExitCodes:
     def test_zero_on_clean_tree(self, tmp_path, capsys):
         write(tmp_path, "src/repro/ml/clean.py", '__all__ = ["a"]\na = 1\n')
-        assert main([str(tmp_path), "--jobs", "1", "--no-cache"]) == 0
+        assert main([str(tmp_path), "--jobs", "1"]) == 0
 
     def test_one_on_findings(self, tmp_path, capsys):
         _seed(tmp_path)
-        assert main([str(tmp_path), "--jobs", "1", "--no-cache"]) == 1
+        assert main([str(tmp_path), "--jobs", "1"]) == 1
 
     def test_two_on_missing_path(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope"), "--no-cache"]) == 2
-
-    def test_two_on_bad_changed_since_ref(self, tmp_path, monkeypatch, capsys):
-        _seed(tmp_path)
-        monkeypatch.chdir(tmp_path)  # not a git repo at all
-        rc = main(["src", "--jobs", "1", "--no-cache",
-                   "--changed-since", "origin/main"])
-        assert rc == 2
-        assert "git" in capsys.readouterr().err
-
-    def test_two_on_malformed_baseline(self, tmp_path, capsys):
-        _seed(tmp_path)
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json", encoding="utf-8")
-        rc = main([str(tmp_path), "--jobs", "1", "--no-cache",
-                   "--baseline", str(bad)])
-        assert rc == 2
-
-    def test_two_on_update_baseline_without_baseline(self, capsys):
-        assert main(["--update-baseline"]) == 2
+        assert main([str(tmp_path / "nope")]) == 2
 
     def test_two_when_no_roots_exist(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # empty dir: no src/tests/benchmarks
-        assert main(["--no-cache"]) == 2
+        assert main([]) == 2
 
 
 class TestJsonGolden:
     def test_report_matches_golden(self, tmp_path, monkeypatch, capsys):
         _seed(tmp_path)
         monkeypatch.chdir(tmp_path)  # relative paths → deterministic doc
-        rc = main(["src", "--format", "json", "--jobs", "1", "--no-cache"])
+        rc = main(["src", "--format", "json", "--jobs", "1"])
         assert rc == 1
         produced = json.loads(capsys.readouterr().out)
         expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -80,10 +61,9 @@ class TestJsonGolden:
     def test_golden_schema_fields(self):
         payload = json.loads(GOLDEN.read_text(encoding="utf-8"))
         assert sorted(payload) == [
-            "baselined", "cache", "files_scanned", "findings", "rules",
-            "stale_baseline", "version",
+            "files_scanned", "findings", "rules", "version",
         ]
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         for row in payload["findings"]:
             assert sorted(row) == ["code", "col", "line", "message", "path"]
 
@@ -99,63 +79,6 @@ class TestListRules:
             assert name in out
 
 
-class TestBaselineWorkflow:
-    def test_ratchet_cycle(self, tmp_path, monkeypatch, capsys):
-        _seed(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        baseline = "replint-baseline.json"
-
-        # 1. Findings exist; accept them into the baseline.
-        rc = main(["src", "--jobs", "1", "--no-cache",
-                   "--baseline", baseline, "--update-baseline"])
-        assert rc == 0
-        entries = json.loads(Path(baseline).read_text())["entries"]
-        assert len(entries) == 1 and entries[0]["code"] == "REP005"
-
-        # 2. With the baseline, the same tree is green and the finding
-        #    is reported as baselined, not failing.
-        rc = main(["src", "--jobs", "1", "--no-cache",
-                   "--baseline", baseline])
-        assert rc == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-        # 3. Fix the finding: the baseline entry is now stale and the
-        #    run fails until the file is ratcheted down.
-        write(tmp_path, "src/repro/ml/messy.py",
-              '__all__ = ["a", "b"]\na = 1\nb = 2\n')
-        rc = main(["src", "--jobs", "1", "--no-cache",
-                   "--baseline", baseline])
-        assert rc == 1
-        assert "STALE" in capsys.readouterr().out
-
-        # 4. Ratchet: the baseline empties and the tree is clean.
-        rc = main(["src", "--jobs", "1", "--no-cache",
-                   "--baseline", baseline, "--update-baseline"])
-        assert rc == 0
-        assert json.loads(Path(baseline).read_text())["entries"] == []
-        assert main(["src", "--jobs", "1", "--no-cache",
-                     "--baseline", baseline]) == 0
-
-    def test_justifications_survive_update(self, tmp_path, monkeypatch,
-                                           capsys):
-        _seed(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        baseline = "replint-baseline.json"
-        main(["src", "--jobs", "1", "--no-cache",
-              "--baseline", baseline, "--update-baseline"])
-        payload = json.loads(Path(baseline).read_text())
-        payload["entries"][0]["justification"] = "legacy export order"
-        Path(baseline).write_text(json.dumps(payload), encoding="utf-8")
-        # Another finding joins; the old entry keeps its justification.
-        write(tmp_path, "src/repro/ml/worse.py", "def f():\n    return 1\n")
-        main(["src", "--jobs", "1", "--no-cache",
-              "--baseline", baseline, "--update-baseline"])
-        entries = json.loads(Path(baseline).read_text())["entries"]
-        just = {e["path"]: e["justification"] for e in entries}
-        assert just["src/repro/ml/messy.py"] == "legacy export order"
-        assert just["src/repro/ml/worse.py"].startswith("TODO")
-
-
 if __name__ == "__main__":  # pragma: no cover - golden regeneration helper
     import os
     import subprocess
@@ -169,7 +92,7 @@ if __name__ == "__main__":  # pragma: no cover - golden regeneration helper
             path.write_text(text, encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "repro.analysis", "src",
-             "--format", "json", "--jobs", "1", "--no-cache"],
+             "--format", "json", "--jobs", "1"],
             cwd=tmp,
             capture_output=True,
             text=True,

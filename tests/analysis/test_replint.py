@@ -858,7 +858,6 @@ class TestIterPythonFiles:
 
         keep = write(tmp_path, "src/repro/ml/real.py", "x = 1\n")
         write(tmp_path, "src/repro/ml/__pycache__/real.cpython-311.py", "")
-        write(tmp_path, ".replint-cache/stale.py", "x = 1\n")
         write(tmp_path, "build/lib/repro/ml/real.py", "x = 1\n")
         write(tmp_path, ".git/hooks/hook.py", "x = 1\n")
         write(tmp_path, ".pytest_cache/v/cache.py", "x = 1\n")
@@ -897,11 +896,11 @@ class TestRunnerAndCli:
             '__all__ = ["b", "a"]\na = 1\nb = 2\n',
         )
         rc = main(
-            [str(tmp_path), "--format", "json", "--jobs", "1", "--no-cache"]
+            [str(tmp_path), "--format", "json", "--jobs", "1"]
         )
         assert rc == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         found = payload["findings"]
         assert [f["code"] for f in found] == ["REP005", "REP005"]
         assert found == sorted(found, key=lambda f: (f["path"], f["line"]))
@@ -912,7 +911,7 @@ class TestRunnerAndCli:
             "src/repro/ml/clean.py",
             '__all__ = ["a"]\na = 1\n',
         )
-        assert main([str(tmp_path), "--jobs", "1", "--no-cache"]) == 0
+        assert main([str(tmp_path), "--jobs", "1"]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_cli_missing_path_exit_two(self, tmp_path, capsys):
@@ -955,6 +954,64 @@ class TestRunnerAndCli:
         text = readme.read_text(encoding="utf-8")
         assert "REPRO_FAULT_SCREEN" in text
         assert text.endswith("tail\n")
+
+
+MODULE_BODY = '''
+import numpy as np
+
+__all__ = ["centroid_{i}", "spread_{i}", "window_{i}"]
+
+
+def centroid_{i}(values):
+    return np.sum(values, axis=0, dtype=np.float64) / len(values)
+
+
+def spread_{i}(values):
+    deltas = values - centroid_{i}(values)
+    return np.sum(deltas * deltas, axis=0, dtype=np.float64)
+
+
+def window_{i}(values, lo, hi):
+    out = []
+    for row in values:
+        out.append(row[lo:hi])
+    return out
+'''
+
+
+def make_tree(tmp_path: Path, n_files: int) -> Path:
+    for i in range(n_files):
+        write(tmp_path, f"src/repro/ml/mod_{i:03d}.py", MODULE_BODY.format(i=i))
+    return tmp_path
+
+
+class TestWorkerCount:
+    def test_findings_identical_for_any_n_jobs(self, tmp_path):
+        from repro.util.parallel import effective_workers
+
+        make_tree(tmp_path, 40)
+        # A per-file finding (REP008, from a worker) and an unused
+        # suppression (REP013, judged in the parent after both phases),
+        # so the comparison is not between two empty lists.
+        write(
+            tmp_path,
+            "src/repro/ml/mod_007.py",
+            MODULE_BODY.format(i=7) + "\n\ndef loud_7():\n    print('x')\n",
+        )
+        write(
+            tmp_path,
+            "src/repro/ml/mod_031.py",
+            MODULE_BODY.format(i=31)
+            + "\nSTALE_31 = 1  # replint: disable=REP003\n",
+        )
+        # The runner hands the pool 16 files per worker at least; a tree
+        # this size must really fan out to two workers.
+        assert effective_workers(40, 2, 16) == 2
+        serial = run([str(tmp_path)], n_jobs=1)
+        pooled = run([str(tmp_path)], n_jobs=2)
+        assert codes(serial.findings) == ["REP008", "REP013"]
+        assert pooled.findings == serial.findings
+        assert pooled.n_files == serial.n_files == 40
 
 
 class TestRepoIsClean:

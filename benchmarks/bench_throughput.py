@@ -1,9 +1,9 @@
-"""Performance microbenchmarks: the real-time-monitoring angle.
+"""Performance microbenchmarks of the layers that dominate end-to-end time.
 
-The paper motivates few-variable classification with real-time constraints
-(§1: a distinguisher has only the processor's per-instruction throughput).
-These benchmarks measure our pipeline's classification latency per window
-and the substrate's capture throughput.  The ``*_reference`` /
+Capture (simulate, render, digitize) and training features (CWT, DNVP
+selection, level training) are where an endtoend run spends its time;
+classification is a fraction of a percent of it and is timed end to end
+by the perfbench ``firmware`` workload instead.  The ``*_reference`` /
 ``*_serial`` benches time the slow formulations kept as test oracles
 (``tests/oracles``), the "before" side of each fast path's speedup.
 """
@@ -11,7 +11,6 @@ and the substrate's capture throughput.  The ``*_reference`` /
 import numpy as np
 import pytest
 
-from repro.core import SideChannelDisassembler
 from repro.core.hierarchy import LevelModel
 from repro.dsp import CWT, get_cwt
 from repro.features import DnvpSelector, FeatureConfig, WaveletStats
@@ -19,61 +18,9 @@ from repro.ml import OneVsOneClassifier, QDA
 from repro.power import Acquisition, PowerModel
 from repro.sim import AvrCpu
 from repro.util.knobs import get_int
-from tests.oracles.hierarchy import predict_instructions_reference
 from tests.oracles.ovo import ovo_fit_reference
 from tests.oracles.render import render_events_serial
 from tests.oracles.selection import dnvp_fit_reference
-from tests.oracles.staged import predict_staged
-
-
-@pytest.fixture(scope="module")
-def fitted_level():
-    acq = Acquisition(seed=77)
-    train = acq.capture_instruction_set(["ADD", "EOR", "LDS", "SEC"], 120, 4)
-    dis = SideChannelDisassembler(
-        FeatureConfig(kl_threshold="auto:0.9", n_components=15),
-        classifier_factory=QDA,
-    )
-    model = dis.fit_instruction_level(1, train)
-    test = acq.capture_instruction_set(["ADD", "EOR", "LDS", "SEC"], 60, 2)
-    return model, test
-
-
-def test_classify_batch_throughput(benchmark, fitted_level):
-    """Windows/second through transform + QDA predict."""
-    model, test = fitted_level
-    windows = test.traces
-
-    result = benchmark(lambda: model.predict(windows))
-    assert len(result) == len(windows)
-
-
-def test_compiled_classify_throughput(benchmark, fitted_level):
-    """Folded-GEMM classify: trace→scores as two matrix products."""
-    model, test = fitted_level
-    windows = test.traces
-    compiled = model.compiled
-
-    result = benchmark(lambda: compiled.predict(windows))
-    assert len(result) == len(windows)
-
-
-def test_compiled_classify_reference_throughput(benchmark, fitted_level):
-    """Staged per-stage classify baseline: transform_points + classifier."""
-    model, test = fitted_level
-    windows = test.traces
-
-    result = benchmark(lambda: predict_staged(model, windows))
-    assert len(result) == len(windows)
-
-
-def test_single_trace_latency(benchmark, fitted_level):
-    """One-window classify latency (the streaming-disassembly budget)."""
-    model, test = fitted_level
-    window = test.traces[:1]
-
-    result = benchmark(lambda: model.predict(window))
-    assert len(result) == 1
 
 
 def test_cwt_full_plane_throughput(benchmark):
@@ -231,63 +178,6 @@ def test_ovo_fit_reference_throughput(benchmark, ovo_problem):
     X, y = ovo_problem
     clf = benchmark(lambda: ovo_fit_reference(OneVsOneClassifier(QDA()), X, y))
     assert clf.predict(X[:4]).shape == (4,)
-
-
-@pytest.fixture(scope="module")
-def small_disassembler():
-    """Two-group hierarchy plus a 128-window evaluation stream."""
-    from repro.power.acquisition import random_instance
-    from repro.power.dataset import TraceSet
-
-    acq = Acquisition(seed=11)
-    config = FeatureConfig(kl_threshold="auto:0.9", top_k=5, n_components=10)
-    group_parts = []
-    for code, (name, pool) in enumerate(
-        (("G1", ["ADD", "EOR"]), ("G5", ["LDS", "ST_X"]))
-    ):
-        def sampler(rng, addr, _pool=pool):
-            return random_instance(
-                str(rng.choice(_pool)), rng, word_address=addr
-            )
-
-        w, p = acq.capture_class(
-            pool[0], 60, 3, label_override=name, target_sampler=sampler
-        )
-        group_parts.append((w, code, p))
-    group_set = TraceSet(
-        traces=np.concatenate([w for w, _, _ in group_parts]),
-        labels=np.concatenate(
-            [np.full(len(w), c) for w, c, _ in group_parts]
-        ),
-        label_names=("G1", "G5"),
-        program_ids=np.concatenate([p for _, _, p in group_parts]),
-    )
-    g1 = acq.capture_instruction_set(["ADD", "EOR"], 60, 3)
-    g5 = acq.capture_instruction_set(["LDS", "ST_X"], 60, 3)
-    dis = SideChannelDisassembler(config, classifier_factory=QDA)
-    dis.fit_group_level(group_set)
-    dis.fit_instruction_level(1, g1)
-    dis.fit_instruction_level(5, g5)
-    windows = np.concatenate([g1.traces[:64], g5.traces[:64]])
-    return dis, windows
-
-
-def test_hierarchy_predict_throughput(benchmark, small_disassembler):
-    """Batched hierarchical inference: one pipeline pass per group."""
-    dis, windows = small_disassembler
-    keys = benchmark(
-        lambda: dis.predict_instructions(windows, adapt=False)
-    )
-    assert len(keys) == len(windows)
-
-
-def test_hierarchy_predict_reference_throughput(benchmark, small_disassembler):
-    """Row-at-a-time streaming baseline (identical keys)."""
-    dis, windows = small_disassembler
-    keys = benchmark(
-        lambda: predict_instructions_reference(dis, windows, adapt=False)
-    )
-    assert len(keys) == len(windows)
 
 
 def test_simulator_throughput(benchmark):

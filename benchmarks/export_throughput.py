@@ -19,19 +19,17 @@ fast-vs-slow ratio from the same machine state, which is what the
 training-stack acceptance numbers are read from.
 
 With ``--check``, exits non-zero if any frozen-baseline benchmark falls
-below 1.0x vs seed, any benchmark named in :data:`MIN_REFERENCE_SPEEDUP`
-falls below its required ``speedup_vs_reference``, or any of these gated
-benchmarks (or a required reference twin) is missing from the run — the
-CI smoke gate against perf regressions.
+below 1.0x vs seed or is missing from the run — the CI smoke gate
+against perf regressions.
 
 Every export also appends a ``bench.throughput`` record (the per-bench
 means) to the run ledger (:mod:`repro.obs.ledger`), building the history
 behind ``python -m repro.obs diff``.  With ``--ledger-gate``, this run
 is additionally diffed against the most recent *prior* ``bench.throughput``
 ledger record and exits non-zero when any benchmark regressed beyond
-``REPRO_LEDGER_DIFF_PCT`` — a same-ledger (usually same-machine) check
-that complements the frozen-seed gate.  The gate passes vacuously when
-the ledger has no prior record (fresh checkout).
+``REPRO_LEDGER_DIFF_PCT``.  It passes vacuously when the ledger has no
+prior record, which is always the case on a fresh CI checkout, so in CI
+it gates nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ from typing import List, Optional
 #: single-core host paid the worker-pool overhead on every capture.
 #: Only these benchmarks carry ``seed_mean_ms`` / ``speedup_vs_seed``.
 SEED_BASELINE_MS = {
-    "test_classify_batch_throughput": 76.327,
     "test_cwt_full_plane_throughput": 68.984,
     "test_simulator_throughput": 33.540,
     "test_render_throughput": 12.682,
@@ -57,23 +54,11 @@ SEED_BASELINE_MS = {
 
 #: Fast benchmark -> serial-reference benchmark measured in the same run.
 REFERENCE_PAIRS = {
-    "test_compiled_classify_throughput":
-        "test_compiled_classify_reference_throughput",
     "test_dnvp_selector_fit_throughput":
         "test_dnvp_selector_fit_reference_throughput",
     "test_level_train_throughput": "test_level_train_reference_throughput",
     "test_ovo_fit_throughput": "test_ovo_fit_reference_throughput",
-    "test_hierarchy_predict_throughput":
-        "test_hierarchy_predict_reference_throughput",
     "test_render_throughput": "test_render_serial_throughput",
-}
-
-#: Same-machine fast-vs-reference ratios CI requires (``--check``).  The
-#: compiled classify path's whole reason to exist is a large constant
-#: factor over the staged path, so a collapse below 5x is a regression
-#: even when absolute times look fine.
-MIN_REFERENCE_SPEEDUP = {
-    "test_compiled_classify_throughput": 5.0,
 }
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
@@ -116,9 +101,8 @@ def check(document: dict) -> List[str]:
     """Human-readable failures for the CI gate (empty = pass).
 
     Gated: ``speedup_vs_seed >= 1.0`` for every benchmark in
-    :data:`SEED_BASELINE_MS`, and the ``speedup_vs_reference`` floors in
-    :data:`MIN_REFERENCE_SPEEDUP`.  A gated benchmark missing from the
-    run fails too, so renaming or deselecting one cannot pass the gate.
+    :data:`SEED_BASELINE_MS`.  A gated benchmark missing from the run
+    fails too, so renaming or deselecting one cannot pass the gate.
     """
     rows = document["benchmarks"]
     failures = []
@@ -129,21 +113,6 @@ def check(document: dict) -> List[str]:
         elif row["speedup_vs_seed"] < 1.0:
             failures.append(
                 f"{name}: {row['speedup_vs_seed']}x vs seed (need >= 1.0)"
-            )
-    for name, floor in MIN_REFERENCE_SPEEDUP.items():
-        row = rows.get(name)
-        if row is None:
-            failures.append(f"{name}: gated benchmark missing from the run")
-            continue
-        ratio: Optional[float] = row.get("speedup_vs_reference")
-        if ratio is None:
-            failures.append(
-                f"{name}: reference twin "
-                f"{REFERENCE_PAIRS[name]} missing from the run"
-            )
-        elif ratio < floor:
-            failures.append(
-                f"{name}: {ratio}x vs reference (need >= {floor}x)"
             )
     return failures
 

@@ -9,9 +9,9 @@ Usage::
 
 ``--trace PATH`` activates the observability layer for the run (spans,
 metrics) and writes the JSONL trace to ``PATH`` on completion; inspect
-it with ``python -m repro.obs report PATH``.  Each runner's
-:class:`~repro.experiments.results.ResultTable` additionally carries the
-run's performance summary in ``meta["obs"]``.
+it with ``python -m repro.obs report PATH``.  The run ledger record
+(:func:`repro.obs.ledger.record_run`) carries the run's performance
+summary.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-import time
 
 from .. import obs
 from ..obs import log
@@ -98,18 +97,6 @@ def _print_result(result) -> None:
     print(result)
 
 
-def _attach_obs_meta(result, summary) -> None:
-    """Stamp the obs summary into every ResultTable the runner produced."""
-    if isinstance(result, ResultTable):
-        result.meta["obs"] = summary
-    elif isinstance(result, tuple):
-        for value in result:
-            _attach_obs_meta(value, summary)
-    elif isinstance(result, dict):
-        for value in result.values():
-            _attach_obs_meta(value, summary)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -141,15 +128,6 @@ def main(argv=None) -> int:
         "REPRO_OBS=1) and write the JSONL trace here; render it with "
         "'python -m repro.obs report PATH'",
     )
-    parser.add_argument(
-        "--live",
-        default=None,
-        metavar="DIR",
-        help="write live status (status.json, metrics.jsonl, worker "
-        "heartbeats) to DIR while running; watch with "
-        "'python -m repro.obs tail DIR' "
-        "(default: the REPRO_OBS_LIVE_DIR knob)",
-    )
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -163,18 +141,12 @@ def main(argv=None) -> int:
     if unknown:
         log.error(f"unknown experiment(s): {unknown}; try 'list'")
         return 2
-    live_dir = obs.live.resolve_live_dir(args.live)
-    if live_dir is not None:
-        obs.start_live(live_dir)
     if args.trace is not None:
         obs.activate()
-    run_started = time.time()  # replint: disable=REP003 -- run duration is ledger bookkeeping, not result data
-    obs.update_progress(
-        phase="experiments", unit="experiments", total=len(names), done=0
-    )
-    for index, name in enumerate(names):
+    run_started = obs.trace.now_ms()
+    for name in names:
         runner, _ = RUNNERS[name]
-        started = time.time()  # replint: disable=REP003 -- progress display
+        started = obs.trace.now_ms()
         with obs.span(f"experiment.{name}", scale=args.scale):  # replint: disable=REP014 -- names are the fixed RUNNERS keys, a bounded literal set
             if name == "table2":
                 result = runner()
@@ -189,13 +161,9 @@ def main(argv=None) -> int:
                     # collide on the meta fingerprint.
                     kwargs["checkpoint_dir"] = f"{args.checkpoint_dir}/{name}"
                 result = runner(args.scale, **kwargs)
-        if obs.enabled():
-            _attach_obs_meta(result, obs.summarize(obs.active_collector()))
         _print_result(result)
-        obs.update_progress(done=index + 1)
-        elapsed = time.time() - started  # replint: disable=REP003 -- progress display
+        elapsed = (obs.trace.now_ms() - started) / 1e3
         log.info(f"{name} completed in {elapsed:.1f} s")
-    obs.stop_live()
     summary = obs.maybe_export(args.trace)
     if summary is not None and args.trace is not None:
         log.info(
@@ -203,7 +171,7 @@ def main(argv=None) -> int:
             f"({summary['n_spans']} spans); render with "
             f"'python -m repro.obs report {args.trace}'"
         )
-    duration = time.time() - run_started  # replint: disable=REP003 -- run duration is ledger bookkeeping, not result data
+    duration = (obs.trace.now_ms() - run_started) / 1e3
     obs.record_run(
         f"experiment.{args.experiment}",
         status="ok",

@@ -75,7 +75,6 @@ from typing import (
 )
 
 from ..obs import ledger as _ledger
-from ..obs import live as _live
 from ..obs import log as _log
 from ..obs import trace as _obs
 from ..util.io import atomic_write_json
@@ -705,10 +704,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     n_fresh = 0
     n_resumed = 0
     _obs.gauge("campaign.cells_total").set(float(len(cells)))
-    _live.update_progress(
-        phase="campaign", unit="cells", total=len(cells), done=0,
-        quarantined=0, retries=0,
-    )
     with _obs.span(
         "campaign.run",
         n_cells=len(cells),
@@ -751,13 +746,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
                 n_fresh += 1
                 _obs.counter("campaign.shards_run").inc()
             done = sum(len(s) for s in shards[: index + 1])
-            _live.update_progress(
-                done=done,
-                quarantined=sum(
-                    1 for r in results if r.status == "quarantined"
-                ),
-                retries=sum(max(0, r.attempts - 1) for r in results),
-            )
             _log.info(
                 f"campaign: shard {index + 1}/{len(shards)} "
                 f"{'resumed' if cached else 'done'} "
@@ -1196,13 +1184,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="activate observability and write the JSONL trace here",
     )
     parser.add_argument(
-        "--live", default=None, metavar="DIR",
-        help="write live status (status.json, metrics.jsonl, worker "
-        "heartbeats) to DIR while running; watch with "
-        "'python -m repro.obs tail DIR' "
-        "(default: the REPRO_OBS_LIVE_DIR knob)",
-    )
-    parser.add_argument(
         "--selftest", action="store_true",
         help="run the chaos self-test (crash/hang/error + fault "
         "injection) and exit nonzero if any guarantee is violated",
@@ -1211,15 +1192,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     from .. import obs
 
-    live_dir = _live.resolve_live_dir(args.live)
-    if live_dir is not None:
-        _live.start_live(live_dir)
     if args.trace is not None:
         obs.activate()
     t_start = _obs.now_ms()
     if args.selftest:
         code = selftest()
-        _live.stop_live()
         obs.maybe_export(args.trace)
         _ledger.record_run(
             "campaign.selftest",
@@ -1262,7 +1239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.report is not None:
         atomic_write_json(args.report, result.report)
         _log.info(f"campaign report written to {args.report}")
-    _live.stop_live()
     obs.maybe_export(args.trace)
     _ledger.record_run(
         "campaign",

@@ -29,10 +29,8 @@ class ResultTable:
         paper_reference: the values the paper reports, for side-by-side
             EXPERIMENTS.md entries.
         notes: free-form caveats (scale used, substitutions).
-        meta: machine-readable run annotations; the CLI stores the
-            observability summary under ``meta["obs"]`` when tracing is
-            active, so every saved result carries its own performance
-            fingerprint.
+        meta: machine-readable run annotations, saved and loaded with
+            the table; empty unless the caller sets some.
     """
 
     title: str

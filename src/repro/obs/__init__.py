@@ -10,29 +10,25 @@ singletons, one attribute check) when disabled:
   histograms published by the caches, the worker pool, quality
   screening, and the hierarchy;
 * **sinks** (:mod:`repro.obs.sinks`, :mod:`repro.obs.report`) — JSONL
-  trace export (``--trace PATH`` on every experiment entrypoint),
-  ``ResultTable.meta["obs"]`` summaries, and the
+  trace export (``--trace PATH`` on every experiment entrypoint), the
+  compact run summary stored in each ledger record, and the
   ``python -m repro.obs report`` aggregation CLI.
 
 Plus :mod:`repro.obs.log`, the level-gated stderr logger that replaces
-bare ``print()`` (enforced by replint rule REP008), and two layers for
-*running* and *finished* runs:
+bare ``print()`` (enforced by replint rule REP008), and the record of
+*finished* runs:
 
-* **live** (:mod:`repro.obs.live`) — a background flusher that snapshots
-  status (progress, ETA, open spans, worker heartbeats) to a directory
-  while a campaign runs; ``python -m repro.obs tail DIR`` watches it;
 * **ledger** (:mod:`repro.obs.ledger`) — an append-only history of every
   entrypoint run (git rev, knobs, duration, metrics, bench numbers);
-  ``python -m repro.obs runs`` lists it and ``... diff A B`` flags
-  cross-run perf regressions.
+  ``python -m repro.obs runs`` lists it and ``... diff A B`` compares
+  two runs.
 
 See DESIGN.md §12 for architecture and the span naming convention, and
-§16 for the live/ledger file formats.
+§16 for the ledger file format.
 """
 
-from . import ledger, live, log
+from . import ledger, log
 from .ledger import diff_runs, read_ledger, record_run, resolve_run
-from .live import start_live, stop_live, update_progress
 from .metrics import DEFAULT_BUCKETS_MS, MetricsRegistry
 from .sinks import maybe_export, summarize, write_jsonl
 from .trace import (
@@ -65,7 +61,6 @@ __all__ = [
     "gauge",
     "histogram",
     "ledger",
-    "live",
     "log",
     "maybe_export",
     "merge_payload",
@@ -73,11 +68,8 @@ __all__ = [
     "record_run",
     "resolve_run",
     "span",
-    "start_live",
-    "stop_live",
     "summarize",
     "take_payload",
     "traced",
-    "update_progress",
     "write_jsonl",
 ]

@@ -19,8 +19,9 @@ repro.obs runs`` / ``diff``):
   the relative refs ``last`` / ``last~N``;
 * :func:`diff_runs` — compare two records' per-span-path self times,
   bench timings, and counters, flagging changes beyond a percentage
-  threshold (``REPRO_LEDGER_DIFF_PCT``).  CI uses the same comparison
-  as a perf-regression gate over benchmark history.
+  threshold (``REPRO_LEDGER_DIFF_PCT``).  CI runs it as a smoke test of
+  the comparison only; with no history on a fresh checkout it gates no
+  performance.
 
 Recording is on by default (``REPRO_LEDGER=0`` disables; the test suite
 does, globally) and is strictly best-effort: a read-only checkout or a
@@ -248,7 +249,11 @@ def diff_runs(
     Returns a dict with ``rows`` (every compared quantity),
     ``regressions`` / ``improvements`` (rows beyond the threshold), and
     the ``threshold_pct`` used.  ``python -m repro.obs diff`` exits
-    non-zero when ``regressions`` is non-empty; CI leans on that.
+    non-zero when ``regressions`` is non-empty.  CI calls it only as a
+    smoke test of this diff machinery and tolerates that exit code:
+    smoke-scale timings are too noisy for a fixed percentage threshold,
+    so nothing here is a performance gate yet (ROADMAP item 2b plans a
+    paired same-machine A/B for that).
     """
     if threshold_pct is None:
         threshold_pct = get_float("REPRO_LEDGER_DIFF_PCT")

@@ -46,8 +46,7 @@ LEVELS = ("debug", "info", "warning", "error", "off")
 _threshold: Optional[int] = None
 
 #: ``(level, key)`` -> count of messages suppressed since the key first
-#: printed.  Guarded by a lock: worker heartbeat handling and the live
-#: flusher log from a background thread.
+#: printed.  Guarded by a lock, since any thread may log.
 _suppressed: Dict[Tuple[str, str], int] = {}
 _seen_keys: set = set()
 _dedup_lock = threading.Lock()
@@ -108,9 +107,9 @@ def flush_suppressed() -> int:
     """Emit one summary line per key with suppressed repeats; reset counts.
 
     Returns the total number of messages that had been suppressed.
-    Long-running drivers (the campaign engine, the live flusher) call
-    this at natural boundaries so the operator still learns the
-    magnitude of a storm, just not one line at a time.
+    Long-running drivers (the campaign engine) call this at natural
+    boundaries so the operator still learns the magnitude of a storm,
+    just not one line at a time.
     """
     with _dedup_lock:
         pending = {tag: n for tag, n in _suppressed.items() if n}

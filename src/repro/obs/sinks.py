@@ -10,9 +10,9 @@ Two outputs, both derived from the same collector state:
   files from crashed runs still load, and the report tool
   (:mod:`repro.obs.report`) consumes it directly.
 * :func:`summarize` — a compact dict (total spans, top self-time paths,
-  cache hit rates, worker utilization) suitable for embedding in
-  ``ResultTable.meta["obs"]`` so every saved experiment result carries
-  its own performance fingerprint.
+  cache hit rates, worker utilization) that the run ledger
+  (:func:`repro.obs.ledger.record_run`) stores in the record of every
+  traced run.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ def derive_rates(metrics: Dict[str, Dict[str, object]]) -> Dict[str, float]:
 
 
 def summarize(collector: Collector, top: int = 8) -> Dict[str, object]:
-    """Compact summary dict for ``ResultTable.meta["obs"]``.
+    """Compact summary dict for the run ledger record's ``obs`` field.
 
     Aggregates self time per span *path* and reports the ``top``
     heaviest, plus counter totals and derived rates — small enough to
-    ride along in every saved result without bloating it.
+    ride along in every ledger line without bloating it.
     """
     self_ms: Dict[str, float] = {}
     calls: Dict[str, int] = {}

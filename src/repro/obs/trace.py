@@ -143,10 +143,6 @@ class Collector:
         self.trace_memory = get_flag("REPRO_OBS_MEM")
         self._lock = threading.Lock()
         self._local = threading.local()
-        #: thread id -> that thread's span stack, registered once per
-        #: thread so the live flusher can enumerate open spans without
-        #: reaching into ``threading.local`` (which only the owner sees).
-        self._stacks: Dict[int, List["_Span"]] = {}
 
     # -- span bookkeeping ----------------------------------------------------
     def _stack(self) -> List["_Span"]:
@@ -154,35 +150,7 @@ class Collector:
         if stack is None:
             stack = []
             self._local.stack = stack
-            with self._lock:
-                self._stacks[threading.get_ident()] = stack
         return stack
-
-    def open_spans(self) -> List[Dict[str, object]]:
-        """Best-effort snapshot of currently-open spans across threads.
-
-        Read by the live flusher thread while owner threads keep pushing
-        and popping — individual entries may be momentarily stale (a
-        span that just closed, a path read mid-push), which is fine for
-        a status display; nothing here feeds experiment results.
-        """
-        out: List[Dict[str, object]] = []
-        now = time.perf_counter()
-        with self._lock:
-            stacks = list(self._stacks.values())
-        for stack in stacks:
-            try:
-                frame = stack[-1]
-                out.append(
-                    {
-                        "path": frame._path,
-                        "open_ms": round(max(0.0, now - frame._t0) * 1e3, 1),
-                    }
-                )
-            except IndexError:  # stack emptied between snapshot and read
-                continue
-        out.sort(key=lambda entry: str(entry["path"]))
-        return out
 
     def current_path(self) -> str:
         """Path of the innermost open span on this thread ("" at root)."""
@@ -372,8 +340,6 @@ class _Span:
         stack = self._collector._stack()
         if stack:
             self._path = f"{stack[-1]._path}/{self._name}"
-        # Timestamps are set *before* the frame becomes visible on the
-        # stack so a concurrent open_spans() snapshot never reads zeros.
         self._start = time.time()
         self._t0 = time.perf_counter()
         self._cpu0 = time.thread_time()
@@ -513,40 +479,6 @@ def now_ms() -> float:
     return time.perf_counter() * 1e3
 
 
-#: Per-worker-process heartbeat progress (each pool worker has its own
-#: module state, so a plain dict is process-private).
-_HEARTBEAT_STATE: Dict[str, int] = {"items_done": 0}
-
-
-def _write_heartbeat(
-    directory: str, in_flight: bool, item: object
-) -> None:
-    """Publish this worker's liveness file (best-effort, never raises).
-
-    One small atomic JSON per worker pid; the driver-side live flusher
-    reads the set to report per-worker liveness and flag stalls.  A
-    worker that dies mid-item leaves ``in_flight: true`` behind with a
-    frozen ``updated`` stamp — exactly the signature the flusher turns
-    into a ``stalled`` flag.
-    """
-    from ..util.io import atomic_write_json
-
-    try:
-        atomic_write_json(
-            os.path.join(directory, f"hb-{os.getpid()}.json"),
-            {
-                "pid": os.getpid(),
-                "updated": round(time.time(), 3),
-                "in_flight": in_flight,
-                "item": repr(item)[:120] if in_flight else "",
-                "items_done": _HEARTBEAT_STATE["items_done"],
-            },
-        )
-    except OSError:
-        # Telemetry must never take down the work it is observing.
-        return
-
-
 class WorkerTask:
     """Picklable wrapper that ships worker-side spans/metrics home.
 
@@ -559,36 +491,23 @@ class WorkerTask:
     salvage after pool failure) it calls through undecorated and
     returns ``(result, None)`` — the parent's own collector already saw
     everything.
-
-    When a live-telemetry directory is active (:mod:`repro.obs.live`),
-    ``heartbeat_dir`` rides along in the pickle and each worker
-    publishes a per-pid heartbeat file at item start and end, giving
-    the driver per-worker liveness and in-flight item context.
     """
 
-    __slots__ = ("fn", "parent_pid", "heartbeat_dir")
+    __slots__ = ("fn", "parent_pid")
 
-    def __init__(
-        self, fn: Callable, heartbeat_dir: Optional[str] = None
-    ) -> None:
+    def __init__(self, fn: Callable) -> None:
         self.fn = fn
         self.parent_pid = os.getpid()
-        self.heartbeat_dir = heartbeat_dir
 
     def __call__(self, item) -> Tuple[object, Optional[Dict[str, object]]]:
         if os.getpid() == self.parent_pid:
             return self.fn(item), None
         collector = activate(Collector())
-        if self.heartbeat_dir:
-            _write_heartbeat(self.heartbeat_dir, True, item)
         t0 = time.perf_counter()
         result = self.fn(item)
         collector.metrics.histogram("parallel.task_ms").observe(
             (time.perf_counter() - t0) * 1e3
         )
-        if self.heartbeat_dir:
-            _HEARTBEAT_STATE["items_done"] += 1
-            _write_heartbeat(self.heartbeat_dir, False, None)
         return result, collector.take_payload()
 
 

@@ -57,14 +57,14 @@ def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
 def atomic_append_line(path: PathLike, line: str) -> None:
     """Append one line to ``path`` with a single ``O_APPEND`` write.
 
-    Multiple processes appending concurrently (ledger records, live
-    metric samples) interleave at *line* granularity: the payload is one
-    ``os.write`` on an ``O_APPEND`` descriptor, which POSIX serializes
-    for regular files, so readers never see two records spliced into one
-    line.  A crash mid-write can still leave a torn *final* line, which
-    every reader of these files tolerates (and the next append starts on
-    a fresh line only if the previous one completed — callers therefore
-    parse line-by-line and skip garbage).
+    Multiple processes appending concurrently (ledger records) interleave
+    at *line* granularity: the payload is one ``os.write`` on an
+    ``O_APPEND`` descriptor, which POSIX serializes for regular files, so
+    readers never see two records spliced into one line.  A crash
+    mid-write can still leave a torn *final* line, which every reader of
+    these files tolerates (and the next append starts on a fresh line
+    only if the previous one completed — callers therefore parse
+    line-by-line and skip garbage).
     """
     if "\n" in line.rstrip("\n"):
         raise ValueError("atomic_append_line takes exactly one line")

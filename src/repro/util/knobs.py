@@ -284,39 +284,6 @@ KNOBS: Dict[str, Knob] = _declare(
         ),
     ),
     Knob(
-        name="REPRO_OBS_FLUSH_MS",
-        kind="int",
-        default=1000,
-        minimum=50,
-        doc=(
-            "live-telemetry flush cadence in milliseconds: how often the "
-            "background flusher snapshots `status.json` and appends to "
-            "`metrics.jsonl` while a live directory is active"
-        ),
-    ),
-    Knob(
-        name="REPRO_OBS_FLUSH_STALL_S",
-        kind="float",
-        default=10.0,
-        minimum=0.1,
-        doc=(
-            "seconds since a worker's last heartbeat update before the "
-            "live flusher flags it as stalled in `status.json`"
-        ),
-    ),
-    Knob(
-        name="REPRO_OBS_LIVE_DIR",
-        kind="path",
-        default="",
-        default_label="(unset)",
-        alias="`--live DIR`",
-        doc=(
-            "directory for live telemetry (`status.json`, "
-            "`metrics.jsonl`, worker heartbeats); setting it activates "
-            "observability and the background flusher on entrypoints"
-        ),
-    ),
-    Knob(
         name="REPRO_LEDGER",
         kind="flag",
         default=True,

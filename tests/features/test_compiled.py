@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.hierarchy import LevelModel
-from repro.dsp import CwtConfig
+from repro.dsp import CWT, CwtConfig
 from repro.features import (
     CompiledPipeline,
     CompileError,
@@ -292,6 +292,23 @@ class TestLevelModelRouting:
         compiled_pred = model.predict(traces)
         staged_pred = predict_staged(model, traces)
         assert (compiled_pred == staged_pred).mean() > 0.99
+
+    @pytest.mark.parametrize("head", HEADS, ids=lambda h: h.__name__)
+    def test_predict_never_runs_the_cwt(self, single_fit, head, monkeypatch):
+        # The folded artifact is the whole point of compiling a level: a
+        # discriminant head must classify without any per-call CWT work.
+        pipe, traces, labels, names = single_fit
+        clf = head().fit(pipe.transform(traces), labels)
+        model = LevelModel(pipeline=pipe, classifier=clf, label_names=names)
+        assert model.compiled is not None
+        expected = predict_staged(model, traces)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LevelModel.predict ran the CWT")
+
+        monkeypatch.setattr(CWT, "transform", forbidden)
+        monkeypatch.setattr(CWT, "transform_points", forbidden)
+        assert (model.predict(traces) == expected).mean() > 0.99
 
     def test_unsupported_classifier_falls_back(self, single_fit):
         pipe, traces, labels, names = single_fit

@@ -27,9 +27,6 @@ def _raw_run(module) -> dict:
     means_ms = {
         name: seed / 2 for name, seed in module.SEED_BASELINE_MS.items()
     }
-    for fast, floor in module.MIN_REFERENCE_SPEEDUP.items():
-        means_ms[fast] = 1.0
-        means_ms[module.REFERENCE_PAIRS[fast]] = 2.0 * floor
     means_ms["test_dnvp_selector_fit_throughput"] = 5.0
     return {
         "machine_info": {"cpu": {"brand_raw": "synthetic"}},
@@ -66,7 +63,7 @@ def test_only_frozen_benchmarks_get_a_seed_baseline(
 
 @pytest.mark.parametrize(
     "dropped",
-    ["test_simulator_throughput", "test_compiled_classify_throughput"],
+    ["test_simulator_throughput", "test_capture_class_parallel_throughput"],
 )
 def test_missing_gated_benchmark_fails(export_throughput, tmp_path, dropped):
     raw = _raw_run(export_throughput)
@@ -76,15 +73,4 @@ def test_missing_gated_benchmark_fails(export_throughput, tmp_path, dropped):
     document = _export(export_throughput, tmp_path, raw)
     assert export_throughput.check(document) == [
         f"{dropped}: gated benchmark missing from the run"
-    ]
-
-
-def test_missing_reference_twin_fails(export_throughput, tmp_path):
-    raw = _raw_run(export_throughput)
-    fast = "test_compiled_classify_throughput"
-    twin = export_throughput.REFERENCE_PAIRS[fast]
-    raw["benchmarks"] = [b for b in raw["benchmarks"] if b["name"] != twin]
-    document = _export(export_throughput, tmp_path, raw)
-    assert export_throughput.check(document) == [
-        f"{fast}: reference twin {twin} missing from the run"
     ]
